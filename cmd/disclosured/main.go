@@ -49,7 +49,7 @@
 // A follower started with -data-dir is promotable: POST /v1/repl/promote
 // (admin token) drains replication as far as the old primary is still
 // reachable, materializes the replica into the directory under the next
-// decision epoch, and flips the process into a full primary on the same
+// decision epoch, and swaps the server into a full primary on the same
 // listener. The new epoch fences the old primary — every decision RPC,
 // tail fetch or submit it receives from the new epoch is refused with a
 // structured 409 and permanently marks it fenced — so a deposed primary
@@ -61,8 +61,8 @@
 // See docs/OPERATIONS.md "Failover" for the runbook.
 //
 // Both roles are observable in production: GET /metrics serves the
-// Prometheus text exposition (admin-token authenticated on the primary,
-// replication-token on a follower) with per-stage submission latency
+// Prometheus text exposition (authenticated with -admin-token, which on a
+// follower is the primary's) with per-stage submission latency
 // histograms, WAL group-commit metrics and — on a follower — the replica
 // staleness gauge; -pprof-addr serves net/http/pprof on a side listener;
 // -audit-log appends a structured JSONL record for every refusal, every
@@ -132,6 +132,12 @@ func main() {
 		fatal(err)
 	}
 	defer audit.Close()
+	durOpts := disclosure.DurabilityOptions{
+		NoSync:        *walNoSync,
+		Shards:        *shards,
+		NoGroupCommit: *walNoGroupCommit,
+		CheckpointOps: *checkpointOps,
+	}
 	if *follow != "" {
 		if *preset != "" || *configPath != "" {
 			fatal(fmt.Errorf("-follow takes its deployment from the primary; drop -preset/-config"))
@@ -139,25 +145,15 @@ func main() {
 		// A follower holds no disk state while following; -data-dir names
 		// the directory a promotion would materialize the replica into
 		// (it must not already hold a deployment).
-		runFollower(followerConfig{
-			addr:            *addr,
-			primary:         *follow,
-			token:           *adminToken,
-			maxLag:          *maxLag,
-			poll:            *replPoll,
-			maxBytes:        *maxBytes,
-			maxBatch:        *maxBatch,
-			shutdownTimeout: *shutdownTimeout,
-			audit:           audit,
-			slowQuery:       *slowQuery,
-			promoteDir:      *dataDir,
-			leaseTTL:        *leaseTTL,
-			promoteOpts: disclosure.DurabilityOptions{
-				NoSync:        *walNoSync,
-				Shards:        *shards,
-				NoGroupCommit: *walNoGroupCommit,
-				CheckpointOps: *checkpointOps,
-			},
+		runFollower(*addr, *follow, *replPoll, *leaseTTL, *shutdownTimeout, server.FollowerOptions{
+			MaxRequestBytes:   *maxBytes,
+			MaxBatch:          *maxBatch,
+			MaxLag:            *maxLag,
+			Audit:             audit,
+			SlowQuery:         *slowQuery,
+			AdminToken:        *adminToken,
+			PromoteDir:        *dataDir,
+			PromoteDurability: durOpts,
 		})
 		return
 	}
@@ -173,12 +169,7 @@ func main() {
 	var sys *disclosure.System
 	var dur *disclosure.Durable
 	if *dataDir != "" {
-		dur, err = disclosure.OpenDurable(*dataDir, disclosure.DurabilityOptions{
-			NoSync:        *walNoSync,
-			Shards:        *shards,
-			NoGroupCommit: *walNoGroupCommit,
-			CheckpointOps: *checkpointOps,
-		}, dep.schema, dep.views...)
+		dur, err = disclosure.OpenDurable(*dataDir, durOpts, dep.schema, dep.views...)
 		if err != nil {
 			fatal(err)
 		}
@@ -254,59 +245,70 @@ func main() {
 	}
 	log.Printf("disclosured: serving on %s (%d principals installed)", l.Addr(), sys.Principals())
 
+	var loops []func(context.Context)
+	if lease != nil {
+		loops = append(loops, func(ctx context.Context) { watchLease(ctx, lease) })
+	}
+	if dur != nil && *checkpointInterval > 0 {
+		loops = append(loops, func(ctx context.Context) { checkpointEvery(ctx, dur, *checkpointInterval) })
+	}
+	serveUntilSignal(srv, l, *shutdownTimeout, loops...)
+	if dur != nil {
+		// Final checkpoint after the last request drained, so the next
+		// boot recovers without replaying this run's log.
+		if err := dur.Checkpoint(); err != nil {
+			log.Printf("disclosured: shutdown checkpoint failed: %v", err)
+		}
+		if err := dur.Close(); err != nil {
+			log.Printf("disclosured: closing log: %v", err)
+		}
+	}
+	log.Printf("disclosured: stopped")
+}
+
+// serveUntilSignal serves srv on l until SIGINT/SIGTERM, running each
+// background loop until the signal, then gives in-flight requests grace
+// to finish. A serving error is fatal. Both roles share it.
+func serveUntilSignal(srv *server.Server, l net.Listener, grace time.Duration, loops ...func(context.Context)) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	for _, loop := range loops {
+		go loop(ctx)
+	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
-	if lease != nil {
-		go watchLease(ctx, lease)
-	}
-
-	ticker := make(chan struct{})
-	if dur != nil && *checkpointInterval > 0 {
-		go func() {
-			t := time.NewTicker(*checkpointInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := dur.Checkpoint(); err != nil {
-						log.Printf("disclosured: checkpoint failed: %v", err)
-					} else {
-						log.Printf("disclosured: checkpoint generation %d", dur.Generation())
-					}
-				case <-ticker:
-					return
-				}
-			}
-		}()
-	}
-
 	select {
 	case err := <-done:
 		fatal(err)
 	case <-ctx.Done():
-		log.Printf("disclosured: shutting down (grace %s)", *shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fatal(err)
-		}
-		if err := <-done; err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-		close(ticker)
-		if dur != nil {
-			// Final checkpoint after the last request drained, so the next
-			// boot recovers without replaying this run's log.
+	}
+	log.Printf("disclosured: shutting down (grace %s)", grace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		fatal(err)
+	}
+	if err := <-done; err != nil && err != http.ErrServerClosed {
+		fatal(err)
+	}
+}
+
+// checkpointEvery takes a periodic checkpoint of a durable primary until
+// ctx is done.
+func checkpointEvery(ctx context.Context, dur *disclosure.Durable, every time.Duration) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
 			if err := dur.Checkpoint(); err != nil {
-				log.Printf("disclosured: shutdown checkpoint failed: %v", err)
+				log.Printf("disclosured: checkpoint failed: %v", err)
+			} else {
+				log.Printf("disclosured: checkpoint generation %d", dur.Generation())
 			}
-			if err := dur.Close(); err != nil {
-				log.Printf("disclosured: closing log: %v", err)
-			}
+		case <-ctx.Done():
+			return
 		}
-		log.Printf("disclosured: stopped")
 	}
 }
 
@@ -339,87 +341,45 @@ func watchLease(ctx context.Context, lease *repl.Lease) {
 	}
 }
 
-// followerConfig carries the -follow mode's flag values.
-type followerConfig struct {
-	addr, primary, token string
-	maxLag, poll         time.Duration
-	maxBytes             int64
-	maxBatch             int
-	shutdownTimeout      time.Duration
-	audit                *obs.AuditLog
-	slowQuery            time.Duration
-	promoteDir           string
-	promoteOpts          disclosure.DurabilityOptions
-	leaseTTL             time.Duration
-}
-
 // runFollower is the -follow mode: bootstrap a replica from the primary,
 // serve the read endpoints against it, and keep tailing the primary's log
 // until SIGINT/SIGTERM. The sync loop and the serving layer share one
 // instance metrics registry, so the follower's GET /metrics (authenticated
-// with the replication token) exposes the staleness gauge and resync
+// with the admin token) exposes the staleness gauge and resync
 // counters next to the HTTP metrics. With -data-dir the follower is
 // promotable (POST /v1/repl/promote), and with -lease-ttl it logs when the
 // primary has been silent long enough that promotion is safe.
-func runFollower(cfg followerConfig) {
-	reg := obs.NewRegistry()
+func runFollower(addr, primary string, poll, leaseTTL, grace time.Duration, opts server.FollowerOptions) {
+	opts.Metrics = obs.NewRegistry()
 	f, err := repl.NewFollower(repl.FollowerOptions{
-		Primary:  cfg.primary,
-		Token:    cfg.token,
+		Primary:  primary,
+		Token:    opts.AdminToken,
 		HTTP:     &http.Client{Timeout: 15 * time.Second},
-		Interval: cfg.poll,
+		Interval: poll,
 		Logf:     log.Printf,
-		Metrics:  reg,
+		Metrics:  opts.Metrics,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	srv := server.NewFollower(f, server.FollowerOptions{
-		MaxRequestBytes:   cfg.maxBytes,
-		MaxBatch:          cfg.maxBatch,
-		MaxLag:            cfg.maxLag,
-		Metrics:           reg,
-		MetricsToken:      cfg.token,
-		Audit:             cfg.audit,
-		SlowQuery:         cfg.slowQuery,
-		AdminToken:        cfg.token,
-		PromoteDir:        cfg.promoteDir,
-		PromoteDurability: cfg.promoteOpts,
-	})
-	l, err := net.Listen("tcp", cfg.addr)
+	srv := server.NewFollower(f, opts)
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
 	}
 	promotable := "not promotable: no -data-dir"
-	if cfg.promoteDir != "" {
-		promotable = "promotable into " + cfg.promoteDir
+	if opts.PromoteDir != "" {
+		promotable = "promotable into " + opts.PromoteDir
 	}
 	log.Printf("disclosured: serving on %s (follower of %s, epoch %d, %d principals replicated, %s)",
-		l.Addr(), cfg.primary, f.Epoch(), f.System().Principals(), promotable)
+		l.Addr(), primary, f.Epoch(), f.System().Principals(), promotable)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go f.Run(ctx)
-	if cfg.leaseTTL > 0 {
-		go probePrimary(ctx, f, cfg.leaseTTL, cfg.promoteDir != "")
+	loops := []func(context.Context){f.Run}
+	if leaseTTL > 0 {
+		loops = append(loops, func(ctx context.Context) { probePrimary(ctx, f, leaseTTL, opts.PromoteDir != "") })
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	select {
-	case err := <-done:
-		fatal(err)
-	case <-ctx.Done():
-		log.Printf("disclosured: shutting down (grace %s)", cfg.shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fatal(err)
-		}
-		if err := <-done; err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-		log.Printf("disclosured: stopped")
-	}
+	serveUntilSignal(srv, l, grace, loops...)
+	log.Printf("disclosured: stopped")
 }
 
 // probePrimary logs the follower's view of primary health against the

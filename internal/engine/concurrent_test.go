@@ -13,20 +13,24 @@ import (
 // TestConcurrentInsertEvalSnapshot hammers lock-free evaluation against a
 // concurrent writer; run with -race. The writer inserts K(i, i) for
 // increasing i, so every reader must observe a prefix: a result set
-// {0..k-1} for some k between the insert counts before and after its
-// snapshot load — never a torn or non-contiguous view.
+// {0..k-1} for some k between the completed-insert count before its
+// snapshot load and the started-insert count after it — never a torn or
+// non-contiguous view. The upper bound counts started inserts because
+// MustInsert publishes its snapshot before the writer can record the
+// insert as completed.
 func TestConcurrentInsertEvalSnapshot(t *testing.T) {
 	s := schema.MustNew(schema.MustRelation("K", "a", "b"))
 	db := NewDatabase(s)
 	q := cq.MustParse("Q(a) :- K(a, b)")
 	const total = 400
-	var inserted atomic.Int64
+	var inserted, started atomic.Int64
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
+			started.Store(int64(i + 1))
 			db.MustInsert("K", fmt.Sprintf("%06d", i), fmt.Sprintf("%06d", i))
 			inserted.Store(int64(i + 1))
 		}
@@ -40,7 +44,7 @@ func TestConcurrentInsertEvalSnapshot(t *testing.T) {
 			for {
 				lo := inserted.Load()
 				rows, err := db.Eval(q)
-				hi := inserted.Load()
+				hi := started.Load()
 				if err != nil {
 					errc <- err
 					return

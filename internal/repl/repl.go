@@ -32,7 +32,7 @@
 // authenticated, mounted by the follower serving layer): it drains the
 // replication cursors as far as the old primary is still reachable,
 // materializes the replica into a fresh durable deployment under the
-// successor decision epoch (Follower.Promote), and flips the node into a
+// successor decision epoch (Follower.Promote), and swaps the node into a
 // full primary. Every replication message carries decision epochs
 // (HeaderEpoch, TailsResponse.Epoch, DecideRequest.Epoch), and both sides
 // enforce them: a primary refuses — and permanently fences itself on —

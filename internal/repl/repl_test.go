@@ -129,7 +129,7 @@ type cluster struct {
 	primary *httptest.Server
 	proxy   *proxy
 	fol     *repl.Follower
-	folSrv  *server.FollowerServer
+	folSrv  *server.Server
 	folHTTP *httptest.Server
 
 	schema *disclosure.Schema
@@ -574,6 +574,62 @@ func TestFollowerServesReadsAndCounts(t *testing.T) {
 	}
 }
 
+// TestFollowerAuthAndLimits checks that a follower refuses bad
+// credentials and malformed input with the statuses the primary answers
+// (TestServerAuthAndLimits in internal/server), and the write endpoints
+// with 403.
+func TestFollowerAuthAndLimits(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{MaxRequestBytes: 512, MaxBatch: 4})
+	c.sync()
+	q := "QC(p, e) :- C(p, e, r)"
+	big := make([]string, 5)
+	for i := range big {
+		big[i] = q
+	}
+	long := "Q(t) :- M(t, p), " + strings.Repeat("M(t2, p2), ", 50) + "M(t3, p3)"
+	for _, tc := range []struct {
+		name, method, path, token string
+		body                      any
+		want                      int
+	}{
+		{"no token", "POST", "/v1/submit", "", server.SubmitRequest{Query: q}, http.StatusUnauthorized},
+		{"unknown token", "POST", "/v1/submit", "nope", server.SubmitRequest{Query: q}, http.StatusUnauthorized},
+		{"explain without token", "GET", "/v1/explain?q=QM(t)%20:-%20M(t,%20p)", "", nil, http.StatusUnauthorized},
+		{"not datalog", "POST", "/v1/submit", "tok", server.SubmitRequest{Query: "this is not datalog"}, http.StatusBadRequest},
+		{"query and queries", "POST", "/v1/submit", "tok", server.SubmitRequest{Query: q, Queries: []string{q}}, http.StatusBadRequest},
+		{"batch over MaxBatch", "POST", "/v1/submit", "tok", server.SubmitRequest{Queries: big}, http.StatusRequestEntityTooLarge},
+		{"body over MaxRequestBytes", "POST", "/v1/submit", "tok", server.SubmitRequest{Query: long}, http.StatusRequestEntityTooLarge},
+		{"set policy", "PUT", "/v1/policy/x", "tok", server.PolicyRequest{Token: "t", Partitions: map[string][]string{"W": {"V1"}}}, http.StatusForbidden},
+		{"load", "POST", "/v1/load", "tok", server.LoadRequest{Rows: []server.LoadRow{{Rel: "M", Values: []string{"11", "Dave"}}}}, http.StatusForbidden},
+	} {
+		var buf bytes.Buffer
+		if tc.body != nil {
+			if err := json.NewEncoder(&buf).Encode(tc.body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(tc.method, c.folHTTP.URL+tc.path, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.token != "" {
+			req.Header.Set("Authorization", "Bearer "+tc.token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// None of the refused requests reached the primary's decision path.
+	if st, err := c.client("tok").FollowerStats(); err != nil || st.Queries != 0 {
+		t.Fatalf("follower queries after refused requests = %d (%v), want 0", st.Queries, err)
+	}
+}
+
 // scrapeFollower GETs the follower's /metrics and returns the exposition
 // body.
 func scrapeFollower(t *testing.T, c *cluster, token string) string {
@@ -682,10 +738,10 @@ func TestFollowerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFollowerMetricsToken checks that a configured metrics token gates
+// TestFollowerMetricsAdminToken checks that a configured admin token gates
 // the follower's /metrics endpoint.
-func TestFollowerMetricsToken(t *testing.T) {
-	c := newCluster(t, server.FollowerOptions{MetricsToken: "scrape"})
+func TestFollowerMetricsAdminToken(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{AdminToken: "scrape"})
 	c.sync()
 	resp, err := http.Get(c.folHTTP.URL + "/metrics")
 	if err != nil {
@@ -840,6 +896,17 @@ func TestSplitBrainPromotion(t *testing.T) {
 	c.sync()
 	c.sessionsMatch()
 
+	// A following node declares the replicated epoch at the top level of
+	// its stats as well as in its follower block.
+	before, err := c.client("tok").FollowerStats()
+	if err != nil {
+		t.Fatalf("stats before promotion: %v", err)
+	}
+	if before.Epoch != 1 || before.Follower.Epoch != 1 || before.Follower.Promoted {
+		t.Fatalf("stats before promotion = (epoch %d, follower epoch %d, promoted %v), want (1, 1, false)",
+			before.Epoch, before.Follower.Epoch, before.Follower.Promoted)
+	}
+
 	// Partition: from here on the follower cannot reach the old primary.
 	c.proxy.setBlocked(true)
 
@@ -864,6 +931,19 @@ func TestSplitBrainPromotion(t *testing.T) {
 	}
 	if got := c.fol.Epoch(); got != 2 {
 		t.Fatalf("follower epoch after promotion = %d, want 2", got)
+	}
+	// The promoted node is the same server: it keeps its follower block,
+	// now marked promoted at the successor epoch, and its uptime.
+	after, err := c.client("tok").FollowerStats()
+	if err != nil {
+		t.Fatalf("stats after promotion: %v", err)
+	}
+	if after.Epoch != 2 || after.Follower.Epoch != 2 || !after.Follower.Promoted {
+		t.Fatalf("stats after promotion = (epoch %d, follower epoch %d, promoted %v), want (2, 2, true)",
+			after.Epoch, after.Follower.Epoch, after.Follower.Promoted)
+	}
+	if after.UptimeSeconds < before.UptimeSeconds {
+		t.Fatalf("uptime after promotion = %vs, below the %vs before it", after.UptimeSeconds, before.UptimeSeconds)
 	}
 
 	// The promoted node decides locally: with the old primary unreachable,
@@ -987,6 +1067,53 @@ func TestSplitBrainPromotion(t *testing.T) {
 	})
 	if status != http.StatusConflict || e.Code != repl.CodeStaleEpoch || e.Epoch != 2 || e.RequestEpoch != 1 {
 		t.Fatalf("epoch-1 decide at promoted node = (%d, %+v), want 409 %q (2 vs 1)", status, e, repl.CodeStaleEpoch)
+	}
+}
+
+// TestPromoteUnderLoad swaps the follower's role while clients submit
+// the walled query and read stats: every submission is answered — failed
+// closed before the swap, refused after it — and none is ever admitted.
+func TestPromoteUnderLoad(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "promoted")
+	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: dir})
+	c.sync()
+	c.wall()
+	c.sync()
+	c.proxy.setBlocked(true)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := c.client("tok")
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := cl.Submit("QM(t) :- M(t, p)")
+				if err != nil || res.Allowed {
+					t.Errorf("walled query during promotion = (allowed=%v, err=%v), want a refusal or a closed failure", res.Allowed, err)
+					return
+				}
+				if _, err := cl.FollowerStats(); err != nil {
+					t.Errorf("stats during promotion: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	pr := c.mustPromote()
+	close(stop)
+	wg.Wait()
+	if pr.Epoch != 2 {
+		t.Fatalf("promoted epoch = %d, want 2", pr.Epoch)
+	}
+	if res, err := c.client("tok").Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed || res.Error != "" {
+		t.Fatalf("walled query after promotion = (allowed=%v, error=%q, err=%v), want a clean local refusal", res.Allowed, res.Error, err)
 	}
 }
 

@@ -126,10 +126,10 @@ type FollowerStatus struct {
 	Promoted bool `json:"promoted,omitempty"`
 }
 
-// FollowerStatsResponse is the body of GET /v1/stats on a follower: the
-// node-local counters (the SystemStats identity holds per node — a
-// delegated decision also counts on the primary) plus the replication
-// status block.
+// FollowerStatsResponse is the body of GET /v1/stats on a follower, and
+// on a promoted one: the node's counters (the SystemStats identity holds
+// per node — a delegated decision also counts on the primary) plus the
+// replication status block.
 type FollowerStatsResponse struct {
 	StatsResponse
 	// Follower is the replication status block.

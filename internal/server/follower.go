@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -54,11 +52,9 @@ type PromotableBackend interface {
 	// its replication handler (to mount under /v1/repl/). Repeated calls
 	// fail with repl.ErrAlreadyPromoted.
 	Promote(dir string, opts disclosure.DurabilityOptions) (*disclosure.Durable, http.Handler, error)
-	// Promoted returns the promoted deployment, nil while still following.
-	Promoted() *disclosure.Durable
 }
 
-// FollowerOptions configures a FollowerServer.
+// FollowerOptions configures a follower Server.
 type FollowerOptions struct {
 	// MaxRequestBytes bounds request-body size (default
 	// DefaultMaxRequestBytes).
@@ -78,19 +74,16 @@ type FollowerOptions struct {
 	// one scrape covers the sync loop and the serving layer. Nil creates
 	// a fresh registry.
 	Metrics *obs.Registry
-	// MetricsToken, when non-empty, authenticates GET /metrics (the
-	// follower has no admin surface of its own; the daemon passes the
-	// replication token). Empty leaves /metrics unauthenticated.
-	MetricsToken string
 	// Audit, when non-nil, receives a structured record (node
 	// "follower") for every refused and errored submission and — with
 	// SlowQuery positive — every submission at least that slow.
 	Audit *obs.AuditLog
 	// SlowQuery is the audit threshold for admitted submissions.
 	SlowQuery time.Duration
-	// AdminToken, when non-empty, authenticates POST /v1/repl/promote and
-	// becomes the promoted node's admin token. Empty disables promotion
-	// (403) — a follower with no admin surface cannot be made a primary.
+	// AdminToken, when non-empty, authenticates GET /metrics and POST
+	// /v1/repl/promote, and becomes the promoted node's admin token.
+	// Empty leaves /metrics open and disables promotion (403) — a
+	// follower with no admin surface cannot be made a primary.
 	AdminToken string
 	// PromoteDir is the data directory a promotion materializes the
 	// replica into; it must be empty or absent on disk. Empty disables
@@ -101,10 +94,10 @@ type FollowerOptions struct {
 	PromoteDurability disclosure.DurabilityOptions
 }
 
-// FollowerServer is the read-path HTTP service of a follower disclosured:
-// it serves /v1/submit, /v1/explain and /v1/stats against a replicated
-// deployment, and refuses everything else — administrative and write
-// endpoints belong to the primary.
+// follower is the read-path role of a node serving a replicated
+// deployment: it serves /v1/submit, /v1/explain and /v1/stats and refuses
+// everything else — administrative and write endpoints belong to the
+// primary.
 //
 // The disclosure split is the replication design's core (see package
 // repl): answer rows, explanations and stats come from the local replica
@@ -114,14 +107,11 @@ type FollowerOptions struct {
 // against complete history no matter how far this follower lags. When the
 // primary is unreachable the follower fails submissions closed: an error,
 // never a local admission.
-type FollowerServer struct {
-	back  ReplicaBackend
-	opts  FollowerOptions
-	mux   *http.ServeMux
-	start time.Time
-	reg   *obs.Registry
-	hm    *httpMetrics
-	build obs.BuildInfo
+type follower struct {
+	s      *Server
+	back   ReplicaBackend
+	opts   FollowerOptions
+	routes *http.ServeMux
 
 	// failClosed counts submissions failed closed because the decision
 	// RPC errored; lagRejects counts requests refused 503 by the MaxLag
@@ -132,14 +122,10 @@ type FollowerServer struct {
 	// counter so fleet-wide failover rates aggregate in one query.
 	promotions *obs.Counter
 
-	// promoteMu single-flights POST /v1/repl/promote; promotedSrv and
-	// promotedHandler, once set, are the full primary service this node
-	// flipped into (every request dispatches through promotedHandler), and
-	// promotedDur is the durable deployment it serves, closed on Shutdown.
-	promoteMu       sync.Mutex
-	promotedSrv     atomic.Pointer[Server]
-	promotedHandler atomic.Pointer[http.Handler]
-	promotedDur     atomic.Pointer[disclosure.Durable]
+	// promoteMu single-flights POST /v1/repl/promote; promoted is the
+	// durable deployment a promotion swapped in, closed on Shutdown.
+	promoteMu sync.Mutex
+	promoted  atomic.Pointer[disclosure.Durable]
 
 	// Counter identity, local to this node (see SystemStats): queries is
 	// incremented when a submission enters, exactly one of the other three
@@ -148,9 +134,6 @@ type FollowerServer struct {
 	admitted atomic.Uint64
 	refused  atomic.Uint64
 	errored  atomic.Uint64
-
-	httpMu sync.Mutex
-	http   *http.Server
 }
 
 // StalenessHeader declares a follower data response's replica staleness in
@@ -160,26 +143,19 @@ type FollowerServer struct {
 // primary-current.
 const StalenessHeader = "X-Disclosure-Staleness"
 
-// NewFollower wires a follower server over a replica backend.
-func NewFollower(back ReplicaBackend, opts FollowerOptions) *FollowerServer {
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	f := &FollowerServer{
-		back:  back,
-		opts:  opts,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		reg:   reg,
-		hm:    newHTTPMetrics(reg),
-		build: obs.ReadBuildInfo(),
+// NewFollower wires a follower Server over a replica backend.
+func NewFollower(back ReplicaBackend, opts FollowerOptions) *Server {
+	s := newServer(Options{
+		AdminToken:      opts.AdminToken,
+		MaxRequestBytes: opts.MaxRequestBytes,
+		MaxBatch:        opts.MaxBatch,
+		Metrics:         opts.Metrics,
+	})
+	reg := s.opts.Metrics
+	f := &follower{
+		s:    s,
+		back: back,
+		opts: opts,
 		failClosed: reg.Counter("disclosure_follower_fail_closed_total",
 			"Submissions failed closed because the primary decision RPC errored."),
 		lagRejects: reg.Counter("disclosure_follower_lag_rejections_total",
@@ -187,130 +163,56 @@ func NewFollower(back ReplicaBackend, opts FollowerOptions) *FollowerServer {
 		promotions: reg.Counter("disclosure_promotions_total",
 			"Completed promotions of this node from follower to primary."),
 	}
-	registerInstanceGauges(reg, back.System, f.start)
-	f.mux.HandleFunc("POST /v1/submit", f.gated(f.handleSubmit))
-	f.mux.HandleFunc("GET /v1/explain", f.gated(f.handleExplain))
-	f.mux.HandleFunc("GET /v1/stats", f.handleStats)
-	f.mux.HandleFunc("GET /metrics", f.handleMetrics)
-	f.mux.HandleFunc("POST /v1/repl/promote", f.handlePromote)
-	f.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusForbidden, "read-only follower: administrative and write endpoints are served by the primary "+f.back.Primary())
+	f.routes = s.newMux(f.fresh)
+	f.routes.HandleFunc("POST /v1/repl/promote", f.handlePromote)
+	f.routes.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusForbidden, "read-only follower: administrative and write endpoints are served by the primary "+back.Primary())
 	})
-	return f
+	s.fol = f
+	return s.begin(f)
 }
 
-// handleMetrics serves GET /metrics on the follower — the same
-// exposition surface as the primary (one scrape config covers both
-// roles), including the staleness gauge and resync counters the sync
-// loop registers in the shared instance registry. Never gated on
-// MaxLag: a lagging follower's metrics are exactly what an operator
-// needs. Authenticated with MetricsToken when configured.
-func (f *FollowerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if f.opts.MetricsToken != "" && bearer(r) != f.opts.MetricsToken {
-		writeError(w, http.StatusUnauthorized, "metrics token required")
-		return
+func (f *follower) mux() *http.ServeMux                   { return f.routes }
+func (f *follower) system() *disclosure.System            { return f.back.System() }
+func (f *follower) principal(token string) (string, bool) { return f.back.TokenOwner(token) }
+func (f *follower) epoch() uint64                         { return f.back.Epoch() }
+
+// gate admits every authenticated submission: a follower's freshness
+// check runs before authentication (fresh), and its decisions are the
+// primary's, which fails them closed one by one.
+func (f *follower) gate(http.ResponseWriter) bool { return true }
+
+// stats returns the node-local submission counters with the replica's
+// cache statistics.
+func (f *follower) stats() disclosure.SystemStats {
+	rep := f.back.System().Stats()
+	return disclosure.SystemStats{
+		Queries:  f.queries.Load(),
+		Admitted: f.admitted.Load(),
+		Refused:  f.refused.Load(),
+		Errored:  f.errored.Load(),
+		Cache:    rep.Cache,
+		Plans:    rep.Plans,
 	}
-	writeMetrics(w, f.reg)
 }
 
-// handlePromote serves POST /v1/repl/promote (admin token): the fenced
-// failover. The backend drains what it can still reach of the old
-// primary, materializes its replica into PromoteDir under the successor
-// decision epoch, and this server flips into a full primary service —
-// local durable decisions, administrative endpoints, and the replication
-// surface for the next generation of followers — on the same listener.
-// From the first replication message it sends or answers, the successor
-// epoch fences the old primary.
-func (f *FollowerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if f.opts.AdminToken == "" {
-		writeError(w, http.StatusForbidden, "promotion disabled: follower started without an admin token")
-		return
+// staleness stamps the staleness header on w and returns the replica's
+// staleness, false before the first completed sync.
+func (f *follower) staleness(w http.ResponseWriter) (time.Duration, bool) {
+	age, ok := f.back.Staleness()
+	if ok {
+		w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
+	} else {
+		w.Header().Set(StalenessHeader, "unsynced")
 	}
-	if bearer(r) != f.opts.AdminToken {
-		writeError(w, http.StatusUnauthorized, "admin token required")
-		return
-	}
-	pb, ok := f.back.(PromotableBackend)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "this backend cannot be promoted")
-		return
-	}
-	if f.opts.PromoteDir == "" {
-		writeError(w, http.StatusPreconditionFailed,
-			"promotion needs a data directory: start the follower with -data-dir")
-		return
-	}
-	f.promoteMu.Lock()
-	defer f.promoteMu.Unlock()
-	if pb.Promoted() != nil {
-		f.promoteConflict(w)
-		return
-	}
-	applied := f.back.Applied()
-	dur, replHandler, err := pb.Promote(f.opts.PromoteDir, f.opts.PromoteDurability)
-	if err != nil {
-		if errors.Is(err, repl.ErrAlreadyPromoted) {
-			f.promoteConflict(w)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	srv, err := New(dur.System(), Options{
-		AdminToken:      f.opts.AdminToken,
-		MaxRequestBytes: f.opts.MaxRequestBytes,
-		MaxBatch:        f.opts.MaxBatch,
-		Journal:         dur,
-		Tokens:          dur.Tokens(),
-		Repl:            replHandler,
-		Metrics:         f.reg,
-	})
-	if err != nil {
-		// The successor epoch is already durably recorded; a node that
-		// cannot build its serving surface must not keep the deployment
-		// open and half-alive.
-		_ = dur.Close()
-		writeError(w, http.StatusInternalServerError, "promotion succeeded but the primary service failed to start: "+err.Error())
-		return
-	}
-	h := srv.Handler()
-	f.promotedDur.Store(dur)
-	f.promotedSrv.Store(srv)
-	f.promotedHandler.Store(&h)
-	f.promotions.Inc()
-	writeJSON(w, http.StatusOK, repl.PromoteResponse{
-		Epoch:      dur.Epoch(),
-		Dir:        f.opts.PromoteDir,
-		AppliedOps: applied,
-	})
+	return age, ok
 }
 
-// promoteConflict answers a promotion request on an already-promoted node.
-func (f *FollowerServer) promoteConflict(w http.ResponseWriter) {
-	var epoch uint64
-	if pb, ok := f.back.(PromotableBackend); ok {
-		if d := pb.Promoted(); d != nil {
-			epoch = d.Epoch()
-		}
-	}
-	writeJSON(w, http.StatusConflict, ErrorResponse{
-		Error: fmt.Sprintf("node is already promoted and decides under epoch %d", epoch),
-		Code:  repl.CodeAlreadyPromoted,
-		Epoch: epoch,
-	})
-}
-
-// gated stamps the staleness header and enforces MaxLag before running a
-// data handler.
-func (f *FollowerServer) gated(h http.HandlerFunc) http.HandlerFunc {
+// fresh stamps the staleness header and enforces MaxLag before a data
+// handler authenticates the request.
+func (f *follower) fresh(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		age, ok := f.back.Staleness()
-		if ok {
-			w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
-		} else {
-			w.Header().Set(StalenessHeader, "unsynced")
-		}
-		if f.opts.MaxLag > 0 && (!ok || age > f.opts.MaxLag) {
+		if age, ok := f.staleness(w); f.opts.MaxLag > 0 && (!ok || age > f.opts.MaxLag) {
 			f.lagRejects.Inc()
 			writeError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("follower replica staleness exceeds the %s bound; retry or use the primary %s", f.opts.MaxLag, f.back.Primary()))
@@ -320,74 +222,40 @@ func (f *FollowerServer) gated(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// authPrincipal authenticates a submission request against the replicated
-// token table, writing 401 and returning ok=false on failure.
-func (f *FollowerServer) authPrincipal(w http.ResponseWriter, r *http.Request) (string, bool) {
-	tok := bearer(r)
-	if tok == "" {
-		writeError(w, http.StatusUnauthorized, "missing bearer token")
-		return "", false
+// status builds the follower block of GET /v1/stats — the lag metrics
+// docs/OPERATIONS.md tells operators to watch — and stamps the staleness
+// header.
+func (f *follower) status(w http.ResponseWriter, promoted bool) FollowerStatus {
+	age, ok := f.staleness(w)
+	st := FollowerStatus{
+		Primary:          f.back.Primary(),
+		Synced:           ok,
+		StalenessSeconds: -1,
+		AppliedOps:       f.back.Applied(),
+		Resyncs:          f.back.Resyncs(),
+		Epoch:            f.back.Epoch(),
+		Promoted:         promoted,
 	}
-	principal, ok := f.back.TokenOwner(tok)
-	if !ok {
-		writeError(w, http.StatusUnauthorized, "unknown token")
-		return "", false
+	if ok {
+		st.StalenessSeconds = age.Seconds()
 	}
-	return principal, true
+	return st
 }
 
-// handleSubmit serves POST /v1/submit on the follower: authentication and
-// evaluation are local (replica), every admit/refuse decision is the
-// primary's. Queries of a batch are decided sequentially in slice order —
-// each decision advances the primary's session before the next is made,
-// exactly like a batch submitted to the primary itself.
-func (f *FollowerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	principal, ok := f.authPrincipal(w, r)
-	if !ok {
-		return
-	}
-	var req SubmitRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	single := req.Query != ""
-	if single == (len(req.Queries) > 0) {
-		writeError(w, http.StatusBadRequest, "set exactly one of query or queries")
-		return
-	}
-	srcs := req.Queries
-	if single {
-		srcs = []string{req.Query}
-	}
-	if len(srcs) > f.opts.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-query bound", len(srcs), f.opts.MaxBatch))
-		return
-	}
-	qs := make([]*disclosure.Query, len(srcs))
-	for i, src := range srcs {
-		q, err := disclosure.ParseQuery(src)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		qs[i] = q
-	}
+// submit decides each query with the primary and evaluates admitted ones
+// on the replica. Queries of a batch are decided sequentially in slice
+// order — each decision advances the primary's session before the next is
+// made, exactly like a batch submitted to the primary itself.
+func (f *follower) submit(principal string, qs []*disclosure.Query) []SubmitResult {
 	sys := f.back.System()
-	timed := f.opts.Audit != nil
-	resp := SubmitResponse{Principal: principal, Results: make([]SubmitResult, len(qs))}
+	results := make([]SubmitResult, len(qs))
 	for i, q := range qs {
 		f.queries.Add(1)
-		out := SubmitResult{Query: q.Name}
-		var t0 time.Time
-		var decideDur, evalDur time.Duration
-		if timed {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		dec, err := f.back.Decide(principal, q)
-		if timed {
-			decideDur = time.Since(t0)
-		}
+		decideDur := time.Since(t0)
+		var rows []disclosure.Tuple
+		var evalDur time.Duration
 		outcome := "admitted"
 		switch {
 		case err != nil:
@@ -396,45 +264,25 @@ func (f *FollowerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			f.errored.Add(1)
 			f.failClosed.Inc()
 			outcome = "errored"
-			out.Error = err.Error()
 		case !dec.Allowed:
-			f.refused.Add(1)
-			outcome = "refused"
-			out.Live = dec.Live
 			// The refusal explanation is built from the replica's session
 			// copy: structurally primary-shaped, numerically bounded-stale
 			// (the decision itself came from the primary).
-			if e, eerr := sys.ExplainDecision(principal, q); eerr == nil {
-				out.Refusal = &e
-			}
+			f.refused.Add(1)
+			outcome = "refused"
 		default:
 			f.admitted.Add(1)
-			out.Allowed = true
-			out.Live = dec.Live
-			var rows []disclosure.Tuple
-			var eerr error
-			if timed {
-				te := time.Now()
-				rows, eerr = sys.Evaluate(q)
-				evalDur = time.Since(te)
-			} else {
-				rows, eerr = sys.Evaluate(q)
-			}
-			if eerr != nil {
-				out.Error = eerr.Error()
-				break
-			}
-			out.Rows = make([][]string, len(rows))
-			for j, row := range rows {
-				out.Rows[j] = row
-			}
+			te := time.Now()
+			rows, err = sys.Evaluate(q)
+			evalDur = time.Since(te)
 		}
-		if timed {
+		out := newResult(sys, principal, q, dec, rows, err)
+		if f.opts.Audit != nil {
 			f.auditSubmission(principal, q, out, outcome, decideDur, evalDur)
 		}
-		resp.Results[i] = out
+		results[i] = out
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return results
 }
 
 // auditSubmission writes the follower-side audit record for one decided
@@ -443,7 +291,7 @@ func (f *FollowerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // analogue of the monitor stage); EvalMs is the local evaluation;
 // staleness is stamped so an audit line is interpretable without joining
 // against the scrape history.
-func (f *FollowerServer) auditSubmission(principal string, q *disclosure.Query, out SubmitResult, outcome string, decideDur, evalDur time.Duration) {
+func (f *follower) auditSubmission(principal string, q *disclosure.Query, out SubmitResult, outcome string, decideDur, evalDur time.Duration) {
 	total := decideDur + evalDur
 	slow := f.opts.SlowQuery > 0 && total >= f.opts.SlowQuery
 	if outcome == "admitted" && out.Error == "" && !slow {
@@ -472,127 +320,69 @@ func (f *FollowerServer) auditSubmission(principal string, q *disclosure.Query, 
 	_ = f.opts.Audit.Log(&rec)
 }
 
-// handleExplain serves GET /v1/explain?q=... from the replica — the same
-// structured admissibility account the primary serves, against session
-// state at most the declared staleness old. It never contacts the primary
-// and never advances any session.
-func (f *FollowerServer) handleExplain(w http.ResponseWriter, r *http.Request) {
-	principal, ok := f.authPrincipal(w, r)
+// handlePromote serves POST /v1/repl/promote (admin token): the fenced
+// failover. The backend drains what it can still reach of the old
+// primary, materializes its replica into PromoteDir under the successor
+// decision epoch, and the server swaps in a primary role over the new
+// deployment — local durable decisions, administrative endpoints, and the
+// replication surface for the next generation of followers — on the same
+// listener. From the first replication message it sends or answers, the
+// successor epoch fences the old primary.
+func (f *follower) handlePromote(w http.ResponseWriter, r *http.Request) {
+	if f.opts.AdminToken == "" {
+		writeError(w, http.StatusForbidden, "promotion disabled: follower started without an admin token")
+		return
+	}
+	if !f.s.authAdmin(w, r) {
+		return
+	}
+	pb, ok := f.back.(PromotableBackend)
 	if !ok {
+		writeError(w, http.StatusNotImplemented, "this backend cannot be promoted")
 		return
 	}
-	src := r.URL.Query().Get("q")
-	if src == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+	if f.opts.PromoteDir == "" {
+		writeError(w, http.StatusPreconditionFailed,
+			"promotion needs a data directory: start the follower with -data-dir")
 		return
 	}
-	q, err := disclosure.ParseQuery(src)
+	f.promoteMu.Lock()
+	defer f.promoteMu.Unlock()
+	applied := f.back.Applied()
+	dur, replH, err := pb.Promote(f.opts.PromoteDir, f.opts.PromoteDurability)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	e, err := f.back.System().ExplainDecision(principal, q)
-	if err != nil {
-		if errors.Is(err, disclosure.ErrNoPolicy) {
-			writeError(w, http.StatusUnauthorized, err.Error())
+		if errors.Is(err, repl.ErrAlreadyPromoted) {
+			f.promoteConflict(w, r)
 			return
 		}
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
-}
-
-// handleStats serves GET /v1/stats: this node's submission counters (the
-// SystemStats identity holds per node; delegated decisions are counted on
-// the primary too), the replica's cache gauges, and the follower block
-// with the lag metrics docs/OPERATIONS.md tells operators to watch. Never
-// gated on MaxLag.
-func (f *FollowerServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	sys := f.back.System()
-	repStats := sys.Stats()
-	age, ok := f.back.Staleness()
-	st := FollowerStatus{
-		Primary:          f.back.Primary(),
-		Synced:           ok,
-		StalenessSeconds: -1,
-		AppliedOps:       f.back.Applied(),
-		Resyncs:          f.back.Resyncs(),
-		Epoch:            f.back.Epoch(),
-		Promoted:         f.promotedSrv.Load() != nil,
+	p, err := f.s.newPrimary(dur.System(), dur, dur.Tokens(), replH)
+	if err != nil {
+		// The successor epoch is already durably recorded; a node that
+		// cannot build its serving surface must not keep the deployment
+		// open and half-alive.
+		_ = dur.Close()
+		writeError(w, http.StatusInternalServerError, "promotion succeeded but the primary service failed to start: "+err.Error())
+		return
 	}
-	if ok {
-		st.StalenessSeconds = age.Seconds()
-		w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
-	} else {
-		w.Header().Set(StalenessHeader, "unsynced")
-	}
-	writeJSON(w, http.StatusOK, FollowerStatsResponse{
-		StatsResponse: StatsResponse{
-			SystemStats: disclosure.SystemStats{
-				Queries:  f.queries.Load(),
-				Admitted: f.admitted.Load(),
-				Refused:  f.refused.Load(),
-				Errored:  f.errored.Load(),
-				Cache:    repStats.Cache,
-				Plans:    repStats.Plans,
-			},
-			Principals:    sys.Principals(),
-			UptimeSeconds: time.Since(f.start).Seconds(),
-			Build:         f.build,
-		},
-		Follower: st,
+	f.promoted.Store(dur)
+	f.s.setRole(p)
+	f.promotions.Inc()
+	writeJSON(w, http.StatusOK, repl.PromoteResponse{
+		Epoch:      dur.Epoch(),
+		Dir:        f.opts.PromoteDir,
+		AppliedOps: applied,
 	})
 }
 
-// Handler returns the follower service's HTTP handler with the
-// request-size limit and metrics middleware applied. After a promotion it
-// dispatches every request to the promoted primary service instead — same
-// listener, full primary surface — except a repeated promote, which is
-// answered 409 here (the primary mux has no promote route).
-func (f *FollowerServer) Handler() http.Handler {
-	follower := f.hm.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, f.opts.MaxRequestBytes)
-		f.mux.ServeHTTP(w, r)
-	}))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if h := f.promotedHandler.Load(); h != nil {
-			if r.URL.Path == "/v1/repl/promote" {
-				f.promoteConflict(w)
-				return
-			}
-			(*h).ServeHTTP(w, r)
-			return
-		}
-		follower.ServeHTTP(w, r)
+// promoteConflict answers a promotion request on an already-promoted node.
+func (f *follower) promoteConflict(w http.ResponseWriter, _ *http.Request) {
+	epoch := f.back.Epoch()
+	writeJSON(w, http.StatusConflict, ErrorResponse{
+		Error: fmt.Sprintf("node is already promoted and decides under epoch %d", epoch),
+		Code:  repl.CodeAlreadyPromoted,
+		Epoch: epoch,
 	})
-}
-
-// Serve accepts connections on l until Shutdown, like Server.Serve.
-func (f *FollowerServer) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	f.httpMu.Lock()
-	f.http = srv
-	f.httpMu.Unlock()
-	return srv.Serve(l)
-}
-
-// Shutdown gracefully stops a follower server started with Serve. If the
-// node was promoted, the promoted durable deployment is checkpointed and
-// closed after the listener drains, so a restart recovers it promptly.
-func (f *FollowerServer) Shutdown(ctx context.Context) error {
-	f.httpMu.Lock()
-	srv := f.http
-	f.httpMu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
-	}
-	if d := f.promotedDur.Swap(nil); d != nil {
-		_ = d.Checkpoint()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -20,6 +20,12 @@
 // Request bodies are size-limited, refusals carry structured explanation
 // bodies, and shutdown is graceful: in-flight requests complete, new
 // connections are refused.
+//
+// One Server type serves both node roles. New starts a primary, which
+// decides locally; NewFollower starts a read follower over a replica,
+// which delegates every decision to its primary (follower.go). Promoting
+// a follower swaps its role in place: the listener, the metrics and the
+// start time carry over.
 package server
 
 import (
@@ -31,11 +37,11 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	disclosure "repro"
 	"repro/internal/obs"
-	"repro/internal/repl"
 )
 
 // Options configures a Server.
@@ -85,129 +91,133 @@ const DefaultMaxRequestBytes = 1 << 20
 // Options.MaxBatch is zero.
 const DefaultMaxBatch = 1024
 
-// Server is the reference-monitor HTTP service over one disclosure.System.
-// Create it with New, mount Handler (or call Serve), and stop it with
-// Shutdown. All methods are safe for concurrent use.
+// Server is the reference-monitor HTTP service of one node, primary or
+// follower. Create it with New or NewFollower, mount Handler (or call
+// Serve), and stop it with Shutdown. All methods are safe for concurrent
+// use.
 type Server struct {
-	sys   *disclosure.System
 	opts  Options
-	mux   *http.ServeMux
 	start time.Time
-	reg   *obs.Registry
 	hm    *httpMetrics
 	build obs.BuildInfo
 
-	mu     sync.RWMutex
-	tokens map[string]string // submission token → principal
-	byName map[string]string // principal → its current token
+	// cur is the node's current role; a promotion stores a primary over
+	// the follower in one step.
+	cur atomic.Pointer[role]
+	// fol is the follower state of a node born a follower (nil for New).
+	// It outlives a promotion: stats keep the follower block and a second
+	// promote is answered from it.
+	fol *follower
 
 	httpMu sync.Mutex
 	http   *http.Server
 }
 
-// New wires a Server over the given system. The system may already hold
-// data and policies; principals installed out of band can be given
-// submission tokens with RegisterToken.
-func New(sys *disclosure.System, opts Options) (*Server, error) {
-	if opts.AdminToken == "" {
-		return nil, fmt.Errorf("server: AdminToken must be non-empty")
-	}
+// role is what differs between a primary and a follower node. The HTTP
+// edge — decoding, limits, parsing, auth, stats, metrics — is the
+// Server's, written once for both.
+type role interface {
+	// mux routes the role's endpoints (see Server.newMux).
+	mux() *http.ServeMux
+	// system is the System explains, stats and the instance gauges read.
+	system() *disclosure.System
+	// principal resolves a submission token to its principal.
+	principal(token string) (string, bool)
+	// gate runs after authentication, before the body is read: it answers
+	// and returns false when the node can make no decision at all.
+	gate(w http.ResponseWriter) bool
+	// submit decides and evaluates an authenticated principal's queries.
+	submit(principal string, qs []*disclosure.Query) []SubmitResult
+	// stats returns the node's submission counters and cache statistics.
+	stats() disclosure.SystemStats
+	// epoch returns the decision epoch the node is at.
+	epoch() uint64
+}
+
+// newServer builds the role-independent half of a node; the caller
+// completes it with begin.
+func newServer(opts Options) *Server {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
 	}
-	s := &Server{
-		sys:    sys,
-		opts:   opts,
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		reg:    reg,
-		hm:     newHTTPMetrics(reg),
-		build:  obs.ReadBuildInfo(),
-		tokens: make(map[string]string),
-		byName: make(map[string]string),
+	return &Server{
+		opts:  opts,
+		start: time.Now(),
+		hm:    newHTTPMetrics(opts.Metrics),
+		build: obs.ReadBuildInfo(),
 	}
-	registerInstanceGauges(reg, func() *disclosure.System { return s.sys }, s.start)
-	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("PUT /v1/policy/{principal}", s.handleSetPolicy)
-	s.mux.HandleFunc("DELETE /v1/policy/{principal}", s.handleRemovePolicy)
-	s.mux.HandleFunc("POST /v1/load", s.handleLoad)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if opts.Repl != nil {
-		s.mux.Handle("/v1/repl/", opts.Repl)
-	}
-	for principal, token := range opts.Tokens {
-		if err := s.installTokenLocked(principal, token); err != nil {
-			return nil, fmt.Errorf("server: seeding token for %q: %w", principal, err)
-		}
-	}
-	return s, nil
 }
 
-// System returns the served system (tests and embedders reach through to
-// it, e.g. to pre-load data without going over HTTP).
-func (s *Server) System() *disclosure.System { return s.sys }
+// begin stores the node's first role and registers the sampled gauges,
+// which read the current role's system.
+func (s *Server) begin(r role) *Server {
+	s.setRole(r)
+	registerInstanceGauges(s.opts.Metrics, s.System, s.start)
+	return s
+}
+
+// New wires a primary Server over the given system. The system may
+// already hold data and policies; principals installed out of band can be
+// given submission tokens with RegisterToken.
+func New(sys *disclosure.System, opts Options) (*Server, error) {
+	if opts.AdminToken == "" {
+		return nil, fmt.Errorf("server: AdminToken must be non-empty")
+	}
+	s := newServer(opts)
+	p, err := s.newPrimary(sys, opts.Journal, opts.Tokens, opts.Repl)
+	if err != nil {
+		return nil, err
+	}
+	return s.begin(p), nil
+}
+
+func (s *Server) current() role  { return *s.cur.Load() }
+func (s *Server) setRole(r role) { s.cur.Store(&r) }
+
+// System returns the served system — the replica's on a follower (tests
+// and embedders reach through to it, e.g. to pre-load data without going
+// over HTTP).
+func (s *Server) System() *disclosure.System { return s.current().system() }
 
 // RegisterToken installs (or rotates) the submission token of a principal
 // whose policy was set outside the HTTP API. It fails if the token already
-// authenticates a different principal.
+// authenticates a different principal, and on a follower, whose tokens
+// replicate from its primary.
 func (s *Server) RegisterToken(principal, token string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setTokenLocked(principal, token)
+	p, ok := s.current().(*primary)
+	if !ok {
+		return fmt.Errorf("server: a follower's tokens replicate from its primary")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.setTokenLocked(principal, token)
 }
 
-// errJournal marks token-journal failures so handlers answer 500 (the
-// server's durability layer is in trouble) rather than 400.
-var errJournal = errors.New("server: token journal failure")
-
-// setTokenLocked rotates principal's token to token; the previous token, if
-// any, stops authenticating. A token held by a different principal is
-// refused — accepting it would let that principal's requests silently act
-// as this one, and the eventual rotation would revoke the other principal's
-// only credential. With a Journal configured the rotation is logged before
-// it takes effect. Callers hold s.mu.
-func (s *Server) setTokenLocked(principal, token string) error {
-	if owner, ok := s.tokens[token]; ok && owner != principal {
-		return fmt.Errorf("server: token already assigned to another principal")
-	}
-	if s.opts.Journal != nil {
-		if err := s.opts.Journal.LogToken(principal, token); err != nil {
-			return fmt.Errorf("%w: %v", errJournal, err)
-		}
-	}
-	return s.installTokenLocked(principal, token)
-}
-
-// installTokenLocked applies a token rotation to the in-memory table
-// without journaling — the shared tail of setTokenLocked and the recovery
-// seeding in New. Callers hold s.mu (or own s exclusively during New).
-func (s *Server) installTokenLocked(principal, token string) error {
-	if owner, ok := s.tokens[token]; ok && owner != principal {
-		return fmt.Errorf("server: token already assigned to another principal")
-	}
-	if old, ok := s.byName[principal]; ok {
-		delete(s.tokens, old)
-	}
-	s.byName[principal] = token
-	s.tokens[token] = principal
-	return nil
+// newMux routes the endpoints every role serves; fresh wraps the data
+// endpoints with the role's pre-authentication check. The role adds its
+// own routes to the result.
+func (s *Server) newMux(fresh func(http.HandlerFunc) http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/submit", fresh(s.handleSubmit))
+	mux.HandleFunc("GET /v1/explain", fresh(s.handleExplain))
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return mux
 }
 
 // Handler returns the service's HTTP handler with the request-size limit
-// applied, for mounting under a custom http.Server or test server.
+// and metrics middleware applied, for mounting under a custom http.Server
+// or test server. Each request is routed by the node's current role.
 func (s *Server) Handler() http.Handler {
 	return s.hm.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes)
-		s.mux.ServeHTTP(w, r)
+		s.current().mux().ServeHTTP(w, r)
 	}))
 }
 
@@ -232,15 +242,27 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown gracefully stops a server started with Serve or ListenAndServe:
 // the listener closes immediately, in-flight requests run to completion (or
-// until ctx expires), and Serve returns http.ErrServerClosed.
+// until ctx expires), and Serve returns http.ErrServerClosed. A promoted
+// follower then checkpoints and closes the deployment it was promoted
+// into, so a restart recovers it promptly.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.httpMu.Lock()
 	srv := s.http
 	s.httpMu.Unlock()
-	if srv == nil {
-		return nil
+	var err error
+	if srv != nil {
+		err = srv.Shutdown(ctx)
 	}
-	return srv.Shutdown(ctx)
+	if s.fol == nil {
+		return err
+	}
+	if d := s.fol.promoted.Swap(nil); d != nil {
+		_ = d.Checkpoint()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // bearer extracts the request's bearer token, or "".
@@ -253,23 +275,15 @@ func bearer(r *http.Request) string {
 	return ""
 }
 
-// principalFor resolves a submission token to its principal.
-func (s *Server) principalFor(token string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.tokens[token]
-	return p, ok
-}
-
-// authPrincipal authenticates a submission request, writing 401 and
-// returning ok=false on failure.
-func (s *Server) authPrincipal(w http.ResponseWriter, r *http.Request) (string, bool) {
+// authPrincipal authenticates a submission request against the role's
+// tokens, writing 401 and returning ok=false on failure.
+func authPrincipal(ro role, w http.ResponseWriter, r *http.Request) (string, bool) {
 	tok := bearer(r)
 	if tok == "" {
 		writeError(w, http.StatusUnauthorized, "missing bearer token")
 		return "", false
 	}
-	principal, ok := s.principalFor(tok)
+	principal, ok := ro.principal(tok)
 	if !ok {
 		writeError(w, http.StatusUnauthorized, "unknown token")
 		return "", false
@@ -299,32 +313,6 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decisionGateErr refuses a request up front when the node can make no
-// decisions at all: a fenced node (superseded by a completed failover)
-// answers a structured 409 so epoch-aware clients repoint, and an expired
-// decision lease answers 503 (retryable once a follower reconnects or the
-// operator resolves the partition). Returns true when the request was
-// answered.
-func decisionGateErr(w http.ResponseWriter, sys *disclosure.System) bool {
-	err := sys.DecisionErr()
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, disclosure.ErrFenced):
-		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error:    err.Error(),
-			Code:     repl.CodeFenced,
-			Epoch:    sys.Epoch(),
-			FencedBy: sys.FencedBy(),
-		})
-	case errors.Is(err, disclosure.ErrLeaseExpired):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
-	}
-	return true
-}
-
 // decode parses a JSON request body into v, writing 400 (or 413 for
 // oversized bodies) and returning false on failure.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -347,15 +335,12 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // the authenticated principal. Refusals are 200 responses with structured
 // refusal bodies — refusal is a policy outcome, not a transport error.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	principal, ok := s.authPrincipal(w, r)
-	if !ok {
-		return
-	}
+	ro := s.current()
+	principal, ok := authPrincipal(ro, w, r)
 	// Refuse the whole batch up front when this node cannot decide at all
-	// (fenced by a completed failover, or decision lease expired) — a
-	// transport-level status, not N per-query errors, so clients and
+	// — a transport-level status, not N per-query errors, so clients and
 	// load balancers see the node's state.
-	if decisionGateErr(w, s.sys) {
+	if !ok || !ro.gate(w) {
 		return
 	}
 	var req SubmitRequest
@@ -385,39 +370,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		qs[i] = q
 	}
+	writeJSON(w, http.StatusOK, SubmitResponse{Principal: principal, Results: ro.submit(principal, qs)})
+}
 
-	// Single and batch share the SubmitBatch path: a one-element batch is
-	// decided and evaluated exactly like Submit, and every multi-query
-	// request pins one database snapshot.
-	results := s.sys.SubmitBatch(principal, qs)
-	resp := SubmitResponse{Principal: principal, Results: make([]SubmitResult, len(results))}
-	for i, res := range results {
-		out := SubmitResult{Query: qs[i].Name, Allowed: res.Decision.Allowed, Live: res.Decision.Live}
-		switch {
-		case res.Err != nil:
-			out.Error = res.Err.Error()
-		case !res.Decision.Allowed:
-			if e, err := s.sys.ExplainDecision(principal, qs[i]); err == nil {
-				out.Refusal = &e
-			}
-		default:
-			out.Rows = make([][]string, len(res.Rows))
-			for j, row := range res.Rows {
-				out.Rows[j] = row
-			}
+// newResult is the wire form of one decided query: the error, or the
+// refusal explained against sys's session state, or the admitted rows.
+func newResult(sys *disclosure.System, principal string, q *disclosure.Query, dec disclosure.Decision, rows []disclosure.Tuple, err error) SubmitResult {
+	out := SubmitResult{Query: q.Name, Allowed: dec.Allowed, Live: dec.Live}
+	switch {
+	case err != nil:
+		out.Error = err.Error()
+	case !dec.Allowed:
+		if e, eerr := sys.ExplainDecision(principal, q); eerr == nil {
+			out.Refusal = &e
 		}
-		resp.Results[i] = out
+	default:
+		out.Rows = make([][]string, len(rows))
+		for j, row := range rows {
+			out.Rows[j] = row
+		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
 // handleExplain serves GET /v1/explain?q=...: the structured admissibility
 // account of a query for the authenticated principal, without submitting
-// it — session state is not advanced. Labeling does go through the shared
-// label cache, so explain traffic warms (and competes for) the same
+// it — session state is not advanced, and a follower answers from its
+// replica without contacting the primary. Labeling does go through the
+// shared label cache, so explain traffic warms (and competes for) the same
 // canonical-form entries submissions use.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	principal, ok := s.authPrincipal(w, r)
+	ro := s.current()
+	principal, ok := authPrincipal(ro, w, r)
 	if !ok {
 		return
 	}
@@ -431,7 +415,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	e, err := s.sys.ExplainDecision(principal, q)
+	e, err := ro.system().ExplainDecision(principal, q)
 	if err != nil {
 		if errors.Is(err, disclosure.ErrNoPolicy) {
 			writeError(w, http.StatusUnauthorized, err.Error())
@@ -443,169 +427,38 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-// handleSetPolicy serves PUT /v1/policy/{principal}: install or replace a
-// policy and rotate the principal's submission token. Replacing a policy
-// resets the principal's cumulative-disclosure session, exactly like
-// System.SetPolicy.
-func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
-	if !s.authAdmin(w, r) {
-		return
-	}
-	principal := r.PathValue("principal")
-	var req PolicyRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.Token == "" {
-		writeError(w, http.StatusBadRequest, "token must be non-empty")
-		return
-	}
-	if req.Token == s.opts.AdminToken {
-		writeError(w, http.StatusBadRequest, "token must differ from the admin token")
-		return
-	}
-	// Install under the token lock so a concurrent submission never sees
-	// the new token before the policy (or the old policy after its token
-	// was rotated away). The collision check runs before SetPolicy so a
-	// refused request neither resets the principal's session nor disturbs
-	// any token.
-	s.mu.Lock()
-	var err error
-	conflict := false
-	if owner, ok := s.tokens[req.Token]; ok && owner != principal {
-		err = fmt.Errorf("server: token already assigned to another principal")
-		conflict = true
-	} else if err = s.sys.SetPolicy(principal, req.Partitions); err == nil {
-		err = s.setTokenLocked(principal, req.Token)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
-		status := http.StatusBadRequest
-		if conflict {
-			status = http.StatusConflict
-		}
-		if errors.Is(err, errJournal) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})
-}
-
-// handleRemovePolicy serves DELETE /v1/policy/{principal}: the principal's
-// policy, session state and token are removed; its in-flight submissions
-// fail with the no-policy error.
-func (s *Server) handleRemovePolicy(w http.ResponseWriter, r *http.Request) {
-	if !s.authAdmin(w, r) {
-		return
-	}
-	principal := r.PathValue("principal")
-	// Remove durably first: if the log append fails, the in-memory token
-	// must stay valid too, or a recovered server would accept a credential
-	// the live server had stopped accepting.
-	s.mu.Lock()
-	err := s.sys.RemovePolicy(principal)
-	if err == nil {
-		if tok, ok := s.byName[principal]; ok {
-			delete(s.tokens, tok)
-			delete(s.byName, principal)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
-		// Only the durability layer can fail a removal.
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal})
-}
-
-// handleLoad serves POST /v1/load: bulk rows inserted through
-// System.LoadBatch, so concurrent submissions observe either none or all
-// of the request's rows.
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if !s.authAdmin(w, r) {
-		return
-	}
-	var req LoadRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, "rows must be non-empty")
-		return
-	}
-	// Validate every row before loading any: LoadBatch publishes rows
-	// inserted before a failure, so up-front validation is what makes a
-	// bad request atomic (nothing from a failing request lands).
-	sch := s.sys.Catalog().Schema()
-	for i, row := range req.Rows {
-		rel := sch.Relation(row.Rel)
-		if rel == nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("row %d: unknown relation %q", i, row.Rel))
-			return
-		}
-		if rel.Arity() != len(row.Values) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("row %d: relation %q has arity %d, got %d values",
-				i, row.Rel, rel.Arity(), len(row.Values)))
-			return
-		}
-	}
-	err := s.sys.LoadBatch(func(ld *disclosure.Loader) error {
-		for i, row := range req.Rows {
-			if err := ld.Insert(row.Rel, row.Values...); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, LoadResponse{Rows: len(req.Rows)})
-}
-
-// handleStats serves GET /v1/stats.
+// handleStats serves GET /v1/stats: the node's counters (the SystemStats
+// identity holds per node; a follower's delegated decisions also count on
+// its primary) and gauges. A node born a follower adds the follower
+// block, before and after promotion. Never gated on replica lag — it is
+// how lag is monitored.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
-		SystemStats:   s.sys.Stats(),
-		Principals:    s.sys.Principals(),
+	ro := s.current()
+	st := StatsResponse{
+		SystemStats:   ro.stats(),
+		Principals:    ro.system().Principals(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         s.build,
-		Epoch:         s.sys.Epoch(),
-	})
-}
-
-// handleMetrics serves GET /metrics (admin token): the process-wide
-// obs.Default registry — submit-pipeline stages, WAL, checkpoints —
-// followed by this instance's HTTP and sampled gauges, in the
-// Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !s.authAdmin(w, r) {
+		Epoch:         ro.epoch(),
+	}
+	if s.fol == nil {
+		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	writeMetrics(w, s.reg)
+	_, promoted := ro.(*primary)
+	writeJSON(w, http.StatusOK, FollowerStatsResponse{StatsResponse: st, Follower: s.fol.status(w, promoted)})
+}
+
+// handleMetrics serves GET /metrics: the process-wide obs.Default registry
+// — submit-pipeline stages, WAL, checkpoints — followed by this instance's
+// HTTP and sampled gauges (on a follower also the sync loop's staleness
+// and resync families), in the Prometheus text exposition format. It is
+// authenticated with the admin token; a follower without one serves it
+// open.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.opts.AdminToken != "" && !s.authAdmin(w, r) {
+		return
+	}
+	w.Header().Set("Content-Type", obs.ExpositionContentType)
+	_ = obs.ExposeAll(w, obs.Default, s.opts.Metrics)
 }

@@ -2,7 +2,7 @@ package engine
 
 // This file implements the pooled execution scratch that makes steady-state
 // evaluation allocation-free: every buffer a plan run needs — resolved
-// constants, slot vectors, candidate row-id blocks, a bitset over the
+// constants, binding blocks, candidate row-id blocks, a bitset over the
 // indexed base region, and a u64-keyed answer-dedup set — lives in one
 // execArena checked out of a per-Database sync.Pool for the duration of a
 // run and returned afterwards. Buffers grow to the high-water mark of the
@@ -57,9 +57,8 @@ func (b *bitset) set(i int32)       { b.words[i>>6] |= 1 << (uint(i) & 63) }
 func (b *bitset) test(i int32) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // dedupSet is an open-addressed hash set over answer rows stored in a flat
-// []uint32 (k values per answer). It replaces the map[string]struct{} +
-// string(keyBuf) dedup of the pre-vectorized executor: keys are hashed
-// directly from the interned ids, collisions are resolved by comparing the
+// []uint32 (k values per answer): keys are hashed directly from the
+// interned ids, collisions are resolved by comparing the
 // stored rows, and the table is arena-owned so repeated runs allocate
 // nothing.
 type dedupSet struct {
@@ -179,13 +178,11 @@ func (s *answerSorter) Less(i, j int) bool {
 	return false
 }
 
-// execArena is the complete per-run scratch state of plan execution, both
-// the vectorized block executor (vexec.go) and the retained tuple-at-a-time
-// executor (plan.go). All fields are buffers reused across runs; none
-// escape a run except through explicit materialization.
+// execArena is the complete per-run scratch state of the block executor
+// (vexec.go). All fields are buffers reused across runs; none escape a run
+// except through explicit materialization.
 type execArena struct {
 	cids    []uint32 // resolved plan constants
-	slots   []uint32 // tuple-path slot bindings
 	cur     vecBatch // current block of partial bindings
 	next    vecBatch // block under construction
 	rows    []int32  // binding-independent candidate rows of a step

@@ -10,12 +10,13 @@
 //
 //   - Plans: a conjunctive query is compiled once — join order fixed by
 //     static selectivity, variables resolved to integer slots, index probes
-//     chosen — and memoized in a sharded plan cache keyed by the query's
-//     canonical fingerprint (internal/cq), so isomorphic queries share one
-//     plan exactly as they share one label in the labeling cache.
+//     chosen — into a block program for the one vectorized executor, and
+//     memoized in a sharded plan cache keyed by the query's canonical
+//     fingerprint (internal/cq), so isomorphic queries share one plan
+//     exactly as they share one label in the labeling cache.
 //
 //   - Snapshots: the database publishes an immutable Snapshot through an
-//     atomic pointer. Readers (Eval, EvalBool, Table) load it once and run
+//     atomic pointer. Readers (Eval, EvalEach, Table) load it once and run
 //     entirely lock-free; the writer (Insert, Load) builds the next version
 //     under a private mutex and publishes it atomically. A reader therefore
 //     sees a consistent prefix of the insertion history, never a torn state.
@@ -74,11 +75,6 @@ type Database struct {
 	// arenas pools execution scratch (execArena) so steady-state evaluation
 	// allocates nothing; see arena.go.
 	arenas sync.Pool
-
-	// tupleExec forces the retained tuple-at-a-time executor for answer
-	// queries — the differential switch the engine tests flip to run the
-	// block executor against its predecessor on identical databases.
-	tupleExec atomic.Bool
 }
 
 // NewDatabase creates an empty database over the schema.
@@ -346,17 +342,6 @@ func (db *Database) EvalEachCanonicalAt(snap *Snapshot, key string, q *cq.Query,
 	}
 	db.evalPlanEach(p, snap, yield)
 	return nil
-}
-
-// EvalBool evaluates a query for satisfaction: true when at least one
-// answer (or, for a boolean query, any full match) exists. It runs the
-// early-exit existence executor and allocates nothing on the warm path.
-func (db *Database) EvalBool(q *cq.Query) (bool, error) {
-	p, err := db.plans.Load().get(db, cq.CanonicalKey(q), q)
-	if err != nil {
-		return false, err
-	}
-	return db.evalPlanBool(p, db.Snapshot()), nil
 }
 
 // sortTuples orders answers lexicographically element-wise (all tuples in

@@ -11,17 +11,17 @@ import (
 
 // This file implements the plan layer: a conjunctive query is compiled once
 // into a slot program — join order fixed by static selectivity, variables
-// resolved to dense integer slots, index probes chosen per atom — and the
-// compiled plan is memoized in a sharded, bounded cache keyed by the
-// query's canonical form, mirroring the labeling cache: app-ecosystem
-// traffic replays a small template space, so isomorphic queries (equal up
-// to variable renaming and atom reordering) compile once and every repeat
-// is a cache hit. Plans reference data only through constant strings
+// resolved to dense integer slots, index probes chosen per atom — which is
+// lowered to the block program of vexec.go, and the compiled plan is
+// memoized in a sharded, bounded cache keyed by the query's canonical form,
+// mirroring the labeling cache: app-ecosystem traffic replays a small
+// template space, so isomorphic queries (equal up to variable renaming and
+// atom reordering) compile once and every repeat is a cache hit. Plans reference data only through constant strings
 // resolved lazily against the interner, so one plan serves every snapshot
 // of its database.
 
-// Argument operations of a plan step, decided entirely at compile time: the
-// executor never asks whether a variable is bound.
+// Argument operations of a slot-program step, decided entirely at compile
+// time: the executor never asks whether a variable is bound.
 const (
 	opConst uint8 = iota // compare against a resolved constant id
 	opBind               // first occurrence: store the column value
@@ -33,8 +33,8 @@ type argOp struct {
 	x  int32 // slot index (opBind/opCheck) or plan-constant index (opConst)
 }
 
-// planStep evaluates one body atom: probe (or scan) the table and extend
-// the slot bindings.
+// planStep is one body atom of the slot program: the table, the probe
+// position, and the per-argument operations compileVec lowers.
 type planStep struct {
 	relID int32
 	probe int32 // argument position to probe the index with, or -1 to scan
@@ -57,19 +57,16 @@ type headOp struct {
 }
 
 // compiledPlan is an immutable compiled query; the only mutable fields are
-// the memoized constant resolutions, which are monotonic and atomic. The
-// same compilation carries two executable forms: the slot program (steps,
-// interpreted tuple-at-a-time by planExec for boolean early-exit and as the
-// differential baseline) and the block program (vec, run by the vectorized
-// executor in vexec.go for everything else).
+// the memoized constant resolutions, which are monotonic and atomic. Its
+// executable form is the block program (vec) run by the vectorized
+// executor in vexec.go; the slot program it is derived from exists only
+// during compilation.
 type compiledPlan struct {
-	steps     []planStep
 	vec       []vecStep
 	head      []headOp
 	headSlots []int32 // slots of variable head positions, in head order
 	consts    []*planConst
 	nSlots    int
-	boolean   bool
 }
 
 // compilePlan validates q against the database schema and compiles its
@@ -90,7 +87,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 	}
 	cq0 := cq.Canonical(q)
-	p := &compiledPlan{boolean: len(cq0.Head) == 0}
+	p := &compiledPlan{}
 
 	// Static join order: greedily pick the atom with the most bound
 	// arguments (constants, or variables bound by already-ordered atoms) —
@@ -154,6 +151,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 		return c
 	}
+	steps := make([]planStep, 0, len(order))
 	for _, ai := range order {
 		a := cq0.Body[ai]
 		st := planStep{relID: int32(db.relID[a.Rel]), probe: -1, args: make([]argOp, len(a.Args))}
@@ -188,7 +186,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		if st.probe < 0 {
 			st.probe = constProbe
 		}
-		p.steps = append(p.steps, st)
+		steps = append(steps, st)
 	}
 	p.nSlots = len(slots)
 
@@ -200,23 +198,8 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 			p.head[i] = headOp{slot: slots[t.Value]}
 		}
 	}
-	p.compileVec()
+	p.compileVec(steps)
 	return p, nil
-}
-
-// planExec is the per-evaluation state of one tuple-at-a-time plan run. The
-// recursion is retained for two callers: boolean/existence evaluation
-// (where first-row early exit beats block materialization) and the
-// differential tests that execute it against the vectorized executor. All
-// scratch — slot bindings, constant ids, the answer-dedup set — comes from
-// the arena, so it shares the block executor's allocation-free discipline.
-type planExec struct {
-	snap   *Snapshot
-	plan   *compiledPlan
-	a      *execArena
-	out    []Tuple
-	exists bool // existence check: stop at the first full match, emit nothing
-	done   bool // search satisfied (existence) — stop unwinding
 }
 
 // evalPlan runs a compiled plan against a snapshot with pooled scratch and
@@ -230,17 +213,7 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) []Tuple {
 		// any current snapshot can match.
 		return nil
 	}
-	if p.boolean {
-		if p.runExists(snap, a) {
-			return []Tuple{{}}
-		}
-		return nil
-	}
-	if db.tupleExec.Load() {
-		return p.runTuple(snap, a)
-	}
-	n := p.runVec(snap, a)
-	return p.materializeVec(snap, a, n)
+	return p.materializeVec(snap, a, p.runVec(snap, a))
 }
 
 // evalPlanEach is evalPlan with the allocation-free visitor result path:
@@ -253,156 +226,7 @@ func (db *Database) evalPlanEach(p *compiledPlan, snap *Snapshot, yield func(Tup
 	if !p.resolveConsts(db, a) {
 		return
 	}
-	if p.boolean {
-		if p.runExists(snap, a) {
-			yield(a.rowBuf[:0])
-		}
-		return
-	}
-	n := p.runVec(snap, a)
-	p.visitVec(snap, a, n, yield)
-}
-
-// evalPlanBool reports satisfaction — for a boolean query, or row existence
-// for any other — via the early-exit tuple executor, allocation-free.
-func (db *Database) evalPlanBool(p *compiledPlan, snap *Snapshot) bool {
-	a := db.getArena()
-	defer db.putArena(a)
-	if !p.resolveConsts(db, a) {
-		return false
-	}
-	return p.runExists(snap, a)
-}
-
-// runTuple is the retained tuple-at-a-time execution, on arena scratch.
-func (p *compiledPlan) runTuple(snap *Snapshot, a *execArena) []Tuple {
-	e := planExec{snap: snap, plan: p, a: a}
-	p.prepTuple(a)
-	e.step(0)
-	sortTuples(e.out)
-	return e.out
-}
-
-// runExists reports whether any full match exists, stopping at the first.
-func (p *compiledPlan) runExists(snap *Snapshot, a *execArena) bool {
-	e := planExec{snap: snap, plan: p, a: a, exists: true}
-	p.prepTuple(a)
-	e.step(0)
-	return e.done
-}
-
-// prepTuple sizes the arena's slot buffer and answer-dedup state for a
-// tuple-path run.
-func (p *compiledPlan) prepTuple(a *execArena) {
-	if cap(a.slots) < p.nSlots {
-		a.slots = make([]uint32, p.nSlots)
-	} else {
-		a.slots = a.slots[:p.nSlots]
-	}
-	a.headIDs = a.headIDs[:0]
-	a.dedup.reset(16)
-}
-
-func (e *planExec) step(depth int) {
-	if depth == len(e.plan.steps) {
-		e.emit()
-		return
-	}
-	st := &e.plan.steps[depth]
-	t := e.snap.tables[st.relID]
-	if t.n == 0 {
-		return
-	}
-	if st.probe >= 0 {
-		a := st.args[st.probe]
-		var val uint32
-		if a.op == opConst {
-			val = e.a.cids[a.x]
-		} else {
-			val = e.a.slots[a.x]
-		}
-		ids, tail := t.probe(int(st.probe), val)
-		for _, id := range ids {
-			if e.match(st, t, int(id)) {
-				e.step(depth + 1)
-				if e.done {
-					return
-				}
-			}
-		}
-		col := t.cols[st.probe]
-		for r := tail; r < t.n; r++ {
-			if col[r] == val && e.match(st, t, r) {
-				e.step(depth + 1)
-				if e.done {
-					return
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < t.n; r++ {
-		if e.match(st, t, r) {
-			e.step(depth + 1)
-			if e.done {
-				return
-			}
-		}
-	}
-}
-
-// match checks the row against the step's constants and bound slots and
-// binds first-occurrence variables. Binds need no undo: a failed row is
-// simply overwritten by the next candidate, and every opCheck references a
-// slot written at an earlier step or earlier position (compile invariant).
-func (e *planExec) match(st *planStep, t *tableSnap, row int) bool {
-	for pos := range st.args {
-		a := &st.args[pos]
-		v := t.cols[pos][row]
-		switch a.op {
-		case opConst:
-			if e.a.cids[a.x] != v {
-				return false
-			}
-		case opCheck:
-			if e.a.slots[a.x] != v {
-				return false
-			}
-		default:
-			e.a.slots[a.x] = v
-		}
-	}
-	return true
-}
-
-// emit records one full match. Existence checks (and boolean queries,
-// which are always run as existence checks) just stop the search; answer
-// queries deduplicate by interned head ids through the arena's hashed set —
-// no per-emit key rendering, no map of strings.
-func (e *planExec) emit() {
-	if e.exists || e.plan.boolean {
-		e.done = true
-		return
-	}
-	a := e.a
-	base := len(a.headIDs)
-	for _, s := range e.plan.headSlots {
-		a.headIDs = append(a.headIDs, a.slots[s])
-	}
-	if !a.dedup.insert(a.headIDs, len(e.plan.headSlots)) {
-		a.headIDs = a.headIDs[:base]
-		return
-	}
-	ans := make(Tuple, len(e.plan.head))
-	for i := range e.plan.head {
-		h := &e.plan.head[i]
-		if h.isConst {
-			ans[i] = h.val
-		} else {
-			ans[i] = e.snap.strs[a.slots[h.slot]]
-		}
-	}
-	e.out = append(e.out, ans)
+	p.visitVec(snap, a, p.runVec(snap, a), yield)
 }
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed

@@ -1,13 +1,14 @@
 package engine
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
-// This file implements stage-3 block-vectorized evaluation: instead of the
-// tuple-at-a-time recursion of the original slot-program executor
-// (retained in plan.go for boolean early-exit and as a differential
-// baseline), a plan runs as a sequence of block transformations. The
-// intermediate state after step i is a vecBatch — one uint32 column per
-// live slot, all of equal length — and each step either
+// This file implements the engine's executor, block-vectorized evaluation:
+// a plan runs as a sequence of block transformations. The intermediate
+// state after step i is a vecBatch — one uint32 column per live slot, all
+// of equal length — and each step either
 //
 //   - materializes its binding-independent candidate rows once (constant
 //     index buckets intersected as sorted u32 lists, plus a linear tail
@@ -16,6 +17,13 @@ import "sort"
 //     through a bitset of the rows that satisfy the step's constant
 //     arguments (built once per step, amortized over the whole block) and
 //     through tight column compares for the join checks.
+//
+// A step that binds no live slot is a semijoin: it only filters, so each
+// incoming binding survives at most once, and a block left with no live
+// columns at all is the set holding the empty binding — one row, decided
+// by the first match. Boolean queries are exactly the plans whose last
+// step leaves no live columns, so they get existence early exit from the
+// same executor.
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
 // dedupSet and sorted through a permutation, so the only allocations of an
@@ -41,8 +49,7 @@ type vecColPair struct {
 	a, b int32
 }
 
-// vecStep is the block-executor form of one plan step, derived from the
-// same argOps the tuple executor interprets.
+// vecStep is the block-executor form of one slot-program step.
 type vecStep struct {
 	relID     int32
 	probeCol  int32 // column probed with a per-binding slot value; -1 = independent step
@@ -54,15 +61,15 @@ type vecStep struct {
 	carry     []int32      // earlier-bound slots still live after this step
 }
 
-// compileVec derives the block program from the compiled slot program.
-// Slots are assigned in first-occurrence order across the ordered steps, so
-// a slot index below the count of slots bound before a step identifies a
+// compileVec derives the block program from the slot program. Slots are
+// assigned in first-occurrence order across the ordered steps, so a slot
+// index below the count of slots bound before a step identifies a
 // cross-step dependency.
-func (p *compiledPlan) compileVec() {
-	nv := len(p.steps)
+func (p *compiledPlan) compileVec(steps []planStep) {
+	nv := len(steps)
 	p.vec = make([]vecStep, nv)
 	startCount := make([]int, nv+1)
-	for i, st := range p.steps {
+	for i, st := range steps {
 		v := &p.vec[i]
 		v.relID = st.relID
 		v.probeCol = -1
@@ -88,8 +95,8 @@ func (p *compiledPlan) compileVec() {
 			}
 		}
 		startCount[i+1] = maxSlot
-		// Mirror the tuple executor's probe choice: the step's compiled
-		// probe position, when it names a slot bound by an earlier step.
+		// Probe with the slot program's chosen position when it names a
+		// slot bound by an earlier step.
 		if st.probe >= 0 && st.args[st.probe].op == opCheck && int(st.args[st.probe].x) < start {
 			v.probeCol = st.probe
 			v.probeSlot = st.args[st.probe].x
@@ -180,6 +187,9 @@ func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
 		if a.next.n == 0 {
 			return 0
 		}
+		if len(st.carry) == 0 && len(st.binds) == 0 {
+			a.next.n = 1 // no live columns: the one empty binding
+		}
 		a.cur, a.next = a.next, a.cur
 	}
 	return p.collectAnswers(snap, a)
@@ -188,8 +198,14 @@ func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
 // stepIndependent handles a step with no dependency on earlier bindings:
 // its matching rows are computed once — constant buckets intersected as
 // sorted u32 lists over the indexed base region, then the unindexed tail —
-// and crossed with the incoming block column-at-a-time.
+// and crossed with the incoming block column-at-a-time. A semijoin step
+// keeps only the first matching row, so the cross product copies each
+// incoming binding once instead of multiplying it.
 func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
+	limit := math.MaxInt
+	if len(st.binds) == 0 {
+		limit = 1
+	}
 	a.rows = a.rows[:0]
 	indexed := 0
 	if len(st.consts) > 0 {
@@ -203,6 +219,9 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 				cand = intersectSorted(cand, b.column(int(c.col))[a.cids[c.cid]], &a.rows2)
 			}
 			for _, id := range cand {
+				if len(a.rows) == limit {
+					break
+				}
 				if rowSelfMatch(st, t, id) {
 					a.rows = append(a.rows, id)
 				}
@@ -210,7 +229,7 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 		}
 	}
 	// Tail (or, without usable constants, the whole table) scans linearly.
-	for r := int32(indexed); r < int32(t.n); r++ {
+	for r := int32(indexed); r < int32(t.n) && len(a.rows) < limit; r++ {
 		if rowConstMatch(st, t, r, a.cids) && rowSelfMatch(st, t, r) {
 			a.rows = append(a.rows, r)
 		}
@@ -248,7 +267,9 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 // stepProbe handles a step joined to earlier bindings: each incoming
 // binding probes the table index with its slot value, candidates are
 // filtered through the step's constant bitset and column compares, and the
-// short unindexed tail is scanned per binding.
+// short unindexed tail is scanned per binding. A semijoin step emits each
+// binding at its first match, and one that leaves no live columns stops
+// at the first match outright.
 func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
 	var bucket map[uint32][]int32
 	n0 := 0
@@ -271,8 +292,11 @@ func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
 		}
 		useBits = true
 	}
+	semi := len(st.binds) == 0
+	empty := semi && len(st.carry) == 0
 	probeSrc := t.cols[st.probeCol]
-	for r := 0; r < a.cur.n; r++ {
+bindings:
+	for r := 0; r < a.cur.n && !(empty && a.next.n > 0); r++ {
 		val := a.cur.cols[st.probeSlot][r]
 		if bucket != nil {
 			for _, id := range bucket[val] {
@@ -285,6 +309,9 @@ func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
 				}
 				if rowCrossMatch(st, t, id, &a.cur, r) {
 					emitRow(st, t, a, r, id)
+					if semi {
+						continue bindings
+					}
 				}
 			}
 		}
@@ -293,6 +320,9 @@ func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
 				rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) &&
 				rowCrossMatch(st, t, id, &a.cur, r) {
 				emitRow(st, t, a, r, id)
+				if semi {
+					continue bindings
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // vexecTestDB builds a small random database over a fixed three-relation
 // schema with a narrow value domain, so random queries join, miss, and
 // duplicate often.
-func vexecTestDB(t *testing.T, rng *rand.Rand, rows int) *Database {
+func vexecTestDB(t testing.TB, rng *rand.Rand, rows int) *Database {
 	t.Helper()
 	s := schema.MustNew(
 		schema.MustRelation("R", "a", "b"),
@@ -91,9 +92,10 @@ func randomQuery(rng *rand.Rand, name string) *cq.Query {
 }
 
 // TestVexecDifferential drives random conjunctive queries through the
-// block-vectorized executor, the retained tuple-at-a-time executor, and
-// the pre-plan reference evaluator, and requires identical answer sets
-// from all three — plus agreement from the EvalEach visitor and EvalBool.
+// block-vectorized executor and the pre-plan reference evaluator and
+// requires identical answer sets from both — plus agreement from the
+// EvalEach visitor, and from the query's boolean form, which is satisfied
+// exactly when the query has an answer.
 func TestVexecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for round := 0; round < 6; round++ {
@@ -105,18 +107,9 @@ func TestVexecDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("vec eval %s: %v", q, err)
 			}
-			db.tupleExec.Store(true)
-			tup, err := db.Eval(q)
-			db.tupleExec.Store(false)
-			if err != nil {
-				t.Fatalf("tuple eval %s: %v", q, err)
-			}
 			ref, err := db.EvalReference(q)
 			if err != nil {
 				t.Fatalf("reference eval %s: %v", q, err)
-			}
-			if !EqualResults(vec, tup) {
-				t.Fatalf("query %s: vectorized %v != tuple %v", q, vec, tup)
 			}
 			if !EqualResults(vec, ref) {
 				t.Fatalf("query %s: vectorized %v != reference %v", q, vec, ref)
@@ -134,14 +127,91 @@ func TestVexecDifferential(t *testing.T) {
 				t.Fatalf("query %s: EvalEach %v != Eval %v", q, visited, vec)
 			}
 
-			sat, err := db.EvalBool(q)
+			bq, err := cq.NewQuery(q.Name+"_bool", nil, q.Body)
 			if err != nil {
-				t.Fatalf("EvalBool %s: %v", q, err)
+				t.Fatal(err)
 			}
-			if sat != (len(vec) > 0) {
-				t.Fatalf("query %s: EvalBool %v but Eval returned %d rows", q, sat, len(vec))
+			sat, err := db.Eval(bq)
+			if err != nil {
+				t.Fatalf("boolean eval %s: %v", bq, err)
+			}
+			if len(sat) != min(len(vec), 1) {
+				t.Fatalf("query %s: boolean form returned %d rows but Eval returned %d", q, len(sat), len(vec))
 			}
 		}
+	}
+}
+
+// TestVexecNoLiveColumns: an atom that binds no slot a later step or the
+// head reads is a semijoin, so disconnected atoms under a head of
+// constants leave the one empty binding instead of their cross product —
+// 300^k rows with no columns behind them, enough to overflow int or to
+// exhaust memory sizing the answer dedup. The block runVec leaves is
+// checked before Eval runs the query.
+func TestVexecNoLiveColumns(t *testing.T) {
+	db := NewDatabase(schema.MustNew(schema.MustRelation("R", "a", "b")))
+	err := db.Load(func(ld *Loader) error {
+		for i := 0; i < 300; i++ {
+			ld.MustInsert("R", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// blockRows runs q's plan and returns the row count of the final block.
+	blockRows := func(q *cq.Query) int {
+		p, err := compilePlan(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := db.getArena()
+		defer db.putArena(a)
+		if !p.resolveConsts(db, a) {
+			t.Fatalf("%s: constants did not resolve", q)
+		}
+		p.runVec(db.Snapshot(), a)
+		return a.cur.n
+	}
+	body := func(k int) string {
+		atoms := make([]string, k)
+		for i := range atoms {
+			atoms[i] = fmt.Sprintf("R(x%d, y%d)", i, i)
+		}
+		return strings.Join(atoms, ", ")
+	}
+	for _, k := range []int{2, 4, 8} {
+		q := cq.MustParse("Q('x') :- " + body(k))
+		if n := blockRows(q); n != 1 {
+			t.Fatalf("%d disconnected atoms: final block has %d rows, want 1", k, n)
+		}
+		rows, err := db.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || len(rows[0]) != 1 || rows[0][0] != "x" {
+			t.Fatalf("%d disconnected atoms: Eval = %v, want [[x]]", k, rows)
+		}
+		rows, err = db.Eval(cq.MustParse("B() :- " + body(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || len(rows[0]) != 0 {
+			t.Fatalf("%d disconnected atoms: boolean Eval = %v, want one empty row", k, rows)
+		}
+	}
+	// A live head variable keeps its own rows: the dead atoms filter it
+	// without multiplying it.
+	q := cq.MustParse("Q(x0) :- " + body(4))
+	if n := blockRows(q); n != 300 {
+		t.Fatalf("live head over dead atoms: final block has %d rows, want 300", n)
+	}
+	rows, err := db.Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 300 {
+		t.Fatalf("live head over dead atoms: Eval returned %d rows, want 300", len(rows))
 	}
 }
 
@@ -257,8 +327,8 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestVexecConcurrentHammer mixes lock-free readers (Eval, EvalEach,
-// EvalBool), writers (Insert), and plan-cache replacement
+// TestVexecConcurrentHammer mixes lock-free readers (Eval, EvalEach),
+// writers (Insert), and plan-cache replacement
 // (SetPlanCacheCapacity) — run under -race in CI.
 func TestVexecConcurrentHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2013))
@@ -283,10 +353,6 @@ func TestVexecConcurrentHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := db.EvalBool(q); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}(w)
 	}
@@ -306,9 +372,9 @@ func TestVexecConcurrentHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkVexecChain measures the block executor against the retained
-// tuple-at-a-time executor on a deep join chain — the workload class the
-// vectorization targets — and against the reference evaluator.
+// BenchmarkVexecChain measures the block executor on a deep join chain —
+// the workload class the vectorization targets — against the reference
+// evaluator.
 func BenchmarkVexecChain(b *testing.B) {
 	s := schema.MustNew(schema.MustRelation("E", "src", "dst"))
 	db := NewDatabase(s)
@@ -344,16 +410,6 @@ func BenchmarkVexecChain(b *testing.B) {
 		visit := func(Tuple) bool { return true }
 		for i := 0; i < b.N; i++ {
 			if err := db.EvalEachCanonicalAt(snap, key, q, visit); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tuple", func(b *testing.B) {
-		db.tupleExec.Store(true)
-		defer db.tupleExec.Store(false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.EvalCanonicalAt(snap, key, q); err != nil {
 				b.Fatal(err)
 			}
 		}

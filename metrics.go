@@ -108,71 +108,104 @@ func (sys *System) SetAudit(log *obs.AuditLog, slowQuery time.Duration) {
 }
 
 // stageTrace carries a submission's stage-boundary timestamps through
-// Submit and Decide on the stack: one time.Now per boundary actually
-// crossed, no timestamp for the finish (finishSubmit derives total from
-// the last boundary, so a fully traced submission costs exactly
-// boundaries+1 clock reads). Boundaries the submission never reached
-// stay zero.
+// Submit and Decide on the stack: one clock read per boundary actually
+// crossed when timed, none otherwise, and no timestamp for the finish
+// (times derives total from the last boundary, so a fully traced
+// submission costs exactly boundaries+1 clock reads). Boundaries the
+// submission never reached stay zero.
 type stageTrace struct {
+	timed   bool // metrics or audit attached
 	start   time.Time
 	tLabel  time.Time // after canonicalize+label
 	tDecide time.Time // after the reference-monitor decision
 	tEval   time.Time // after evaluation
 }
 
-// finishSubmit lands a submission's metrics and, when warranted, its
-// audit record. It is called on every return path of Submit and Decide
-// when instrumentation or auditing is on (timed). dec and err describe
-// the outcome; key is empty when the submission failed before
-// canonicalization.
-func (sys *System) finishSubmit(tr stageTrace, outcome int, principal string, q *Query, key string, dec Decision, err error) {
-	var label, decide, eval, total time.Duration
+// now reads the clock for a timed trace and returns the zero time
+// otherwise.
+func (tr *stageTrace) now() time.Time {
+	if !tr.timed {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stageTimes is one submission's stage split, as its metrics and audit
+// record report it.
+type stageTimes struct {
+	label, decide, eval, total time.Duration
+}
+
+// times derives the stage split from the trace's boundaries.
+func (tr *stageTrace) times() stageTimes {
+	var st stageTimes
 	end := tr.start
 	if !tr.tLabel.IsZero() {
-		label = tr.tLabel.Sub(tr.start)
+		st.label = tr.tLabel.Sub(tr.start)
 		end = tr.tLabel
 	}
 	if !tr.tDecide.IsZero() {
-		decide = tr.tDecide.Sub(end)
+		st.decide = tr.tDecide.Sub(end)
 		end = tr.tDecide
 	}
 	if !tr.tEval.IsZero() {
-		eval = tr.tEval.Sub(end)
+		st.eval = tr.tEval.Sub(end)
 		end = tr.tEval
 	}
 	if end == tr.start {
 		// Failed before the first boundary (unknown principal): the only
 		// path that pays an extra clock read, off the common case.
-		total = time.Since(tr.start)
+		st.total = time.Since(tr.start)
 	} else {
-		total = end.Sub(tr.start)
+		st.total = end.Sub(tr.start)
 	}
+	return st
+}
+
+// finishSubmit lands a Submit or Decide submission: the stage histograms
+// its trace reached, then its outcome. dec and err describe the outcome;
+// key is empty when the submission failed before canonicalization.
+func (sys *System) finishSubmit(tr *stageTrace, outcome int, principal string, q *Query, key string, dec Decision, err error) {
+	var st stageTimes
+	if tr.timed {
+		st = tr.times()
+		if m := sys.mets; m != nil {
+			if st.label > 0 {
+				m.stageLabel.Observe(st.label.Seconds())
+			}
+			if st.decide > 0 {
+				m.stageDecide.Observe(st.decide.Seconds())
+			}
+			if st.eval > 0 {
+				m.stageEval.Observe(st.eval.Seconds())
+			}
+		}
+	}
+	sys.recordOutcome(outcome, principal, q, key, dec, err, st)
+}
+
+// recordOutcome lands one submission's outcome — of Submit, Decide or one
+// SubmitBatch item — exactly once: its Stats counter and, when
+// instrumented, its outcome counter, one end-to-end latency observation
+// and its audit record.
+func (sys *System) recordOutcome(outcome int, principal string, q *Query, key string, dec Decision, err error, st stageTimes) {
+	sys.outcomes[outcome].Add(1)
 	if m := sys.mets; m != nil {
-		if label > 0 {
-			m.stageLabel.Observe(label.Seconds())
-		}
-		if decide > 0 {
-			m.stageDecide.Observe(decide.Seconds())
-		}
-		if eval > 0 {
-			m.stageEval.Observe(eval.Seconds())
-		}
 		m.outcomes[outcome].Inc()
-		m.e2e[outcome].Observe(total.Seconds())
+		m.e2e[outcome].Observe(st.total.Seconds())
 	}
-	sys.auditSubmission(outcome, principal, q, key, dec, err, label, decide, eval, total)
+	sys.auditSubmission(outcome, principal, q, key, dec, err, st)
 }
 
 // auditSubmission writes one decision audit record if the attached log
 // and the outcome warrant it: refusals and errors always, admissions
-// only past the slow-query threshold. Shared by the Submit/Decide
-// return paths (via finishSubmit) and the SubmitBatch audit pass.
-func (sys *System) auditSubmission(outcome int, principal string, q *Query, key string, dec Decision, err error, label, decide, eval, total time.Duration) {
+// only past the slow-query threshold.
+func (sys *System) auditSubmission(outcome int, principal string, q *Query, key string, dec Decision, err error, st stageTimes) {
 	al := sys.audit
 	if al == nil {
 		return
 	}
-	slow := sys.slowQuery > 0 && total >= sys.slowQuery
+	slow := sys.slowQuery > 0 && st.total >= sys.slowQuery
 	if outcome == outcomeAdmitted && !slow {
 		return
 	}
@@ -182,10 +215,10 @@ func (sys *System) auditSubmission(outcome int, principal string, q *Query, key 
 		Outcome:   outcomeNames[outcome],
 		Slow:      slow,
 		Live:      dec.Live,
-		LabelMs:   float64(label) / float64(time.Millisecond),
-		DecideMs:  float64(decide) / float64(time.Millisecond),
-		EvalMs:    float64(eval) / float64(time.Millisecond),
-		TotalMs:   float64(total) / float64(time.Millisecond),
+		LabelMs:   float64(st.label) / float64(time.Millisecond),
+		DecideMs:  float64(st.decide) / float64(time.Millisecond),
+		EvalMs:    float64(st.eval) / float64(time.Millisecond),
+		TotalMs:   float64(st.total) / float64(time.Millisecond),
 	}
 	if q != nil {
 		rec.Query = q.Name

@@ -36,8 +36,10 @@ func expose(t *testing.T, reg *obs.Registry) string {
 }
 
 // TestSubmitMetrics drives every outcome class through Submit, Decide and
-// SubmitBatch and checks the outcome counters agree with Stats and that
-// the per-stage histograms saw the submissions that reached each stage.
+// SubmitBatch and checks the outcome counters agree with Stats, that every
+// submission — batch items included — observed the end-to-end histogram
+// once, and that the per-stage histograms saw the submissions that reached
+// each stage.
 func TestSubmitMetrics(t *testing.T) {
 	sys, reg := metricsSystem(t)
 	admittedQ := MustParse("Free(t) :- Meetings(t, p)")
@@ -56,6 +58,9 @@ func TestSubmitMetrics(t *testing.T) {
 		`disclosure_submissions_total{outcome="admitted"} 3`,
 		`disclosure_submissions_total{outcome="refused"} 2`,
 		`disclosure_submissions_total{outcome="errored"} 4`,
+		`disclosure_submit_seconds_count{outcome="admitted"} 3`,
+		`disclosure_submit_seconds_count{outcome="refused"} 2`,
+		`disclosure_submit_seconds_count{outcome="errored"} 4`,
 		`disclosure_submit_stage_seconds_count{stage="decide"} 5`,
 	} {
 		if !strings.Contains(out, want) {

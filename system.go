@@ -63,13 +63,11 @@ type System struct {
 	slowQuery time.Duration
 
 	// Counter identity (see Stats): queries is incremented when a
-	// submission enters the system; exactly one of admitted, refused or
-	// errored is incremented before that submission returns. All four
-	// counters are monotone.
+	// submission enters the system; exactly one outcome counter (indexed
+	// by outcomeAdmitted, outcomeRefused, outcomeErrored) is incremented
+	// before that submission returns. All four counters are monotone.
 	queries  atomic.Uint64
-	admitted atomic.Uint64
-	refused  atomic.Uint64
-	errored  atomic.Uint64
+	outcomes [3]atomic.Uint64
 }
 
 // NewSystem wires a database, catalog and cached labeler over the given
@@ -207,7 +205,7 @@ func (sys *System) Session(principal string) (live []string, accepted, refused i
 	live, accepted, refused, err = sys.store.Snapshot(principal)
 	if err != nil {
 		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
+			err = errNoPolicy(principal)
 		}
 		return nil, 0, 0, err
 	}
@@ -223,70 +221,7 @@ func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Load().La
 // refusal is a policy outcome, not an error. Principals without a policy
 // get (Decision{Allowed: false}, nil, err) with err wrapping ErrNoPolicy.
 func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error) {
-	// timed gates every instrumentation touch: with metrics and audit
-	// both off (obs.Disabled), Submit takes no timestamps at all.
-	timed := sys.mets != nil || sys.audit != nil
-	var tr stageTrace
-	if timed {
-		tr.start = time.Now()
-	}
-	sys.queries.Add(1)
-	// Fail before labeling: unauthenticated principals must not consume
-	// labeling work or label-cache capacity.
-	if !sys.store.Has(principal) {
-		sys.errored.Add(1)
-		err := fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, "", Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	// One canonicalization per submission, shared between the label cache
-	// and the plan cache — the dominant cost when both caches are warm.
-	key := cq.CanonicalKey(q)
-	lbl, err := sys.labeler.Load().LabelCanonical(key, q)
-	if timed {
-		tr.tLabel = time.Now()
-	}
-	if err != nil {
-		sys.errored.Add(1)
-		err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, err)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	dec, err := sys.decide(principal, q, lbl)
-	if timed {
-		tr.tDecide = time.Now()
-	}
-	if err != nil {
-		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		}
-		sys.errored.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	if !dec.Allowed {
-		sys.refused.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeRefused, principal, q, key, dec, nil)
-		}
-		return dec, nil, nil
-	}
-	sys.admitted.Add(1)
-	rows, err := sys.db.EvalCanonicalAt(sys.db.Snapshot(), key, q)
-	if timed {
-		tr.tEval = time.Now()
-		sys.finishSubmit(tr, outcomeAdmitted, principal, q, key, dec, err)
-	}
-	if err != nil {
-		return dec, nil, err
-	}
-	return dec, rows, nil
+	return sys.submit(principal, q, true)
 }
 
 // Decide labels a query and runs it through the principal's reference
@@ -300,58 +235,55 @@ func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error)
 // and the submission counts toward the Stats identity exactly as a local
 // Submit would.
 func (sys *System) Decide(principal string, q *Query) (Decision, error) {
-	timed := sys.mets != nil || sys.audit != nil
-	var tr stageTrace
-	if timed {
-		tr.start = time.Now()
-	}
+	dec, _, err := sys.submit(principal, q, false)
+	return dec, err
+}
+
+// submit is the one submission path under Submit and Decide: label and
+// decide, evaluate an admitted query when eval is set, and land the
+// outcome exactly once.
+func (sys *System) submit(principal string, q *Query, eval bool) (Decision, []Tuple, error) {
+	// timed gates every clock read: with metrics and audit both off
+	// (obs.Disabled), a submission takes no timestamps at all.
+	tr := stageTrace{timed: sys.mets != nil || sys.audit != nil}
+	tr.start = tr.now()
 	sys.queries.Add(1)
-	if !sys.store.Has(principal) {
-		sys.errored.Add(1)
-		err := fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, "", Decision{}, err)
+	key, dec, err := sys.labelAndDecide(&tr, principal, q)
+	outcome := outcomeRefused
+	var rows []Tuple
+	switch {
+	case err != nil:
+		outcome = outcomeErrored
+	case dec.Allowed:
+		outcome = outcomeAdmitted
+		if eval {
+			rows, err = sys.db.EvalCanonicalAt(sys.db.Snapshot(), key, q)
+			tr.tEval = tr.now()
 		}
-		return Decision{Allowed: false}, err
+	}
+	sys.finishSubmit(&tr, outcome, principal, q, key, dec, err)
+	return dec, rows, err
+}
+
+// labelAndDecide is the front half of a submission: the policy check,
+// one canonicalization shared by the label cache and the plan cache,
+// labeling, and the monitor decision, stamping tr at each boundary it
+// crosses. The key is empty when the principal has no policy.
+func (sys *System) labelAndDecide(tr *stageTrace, principal string, q *Query) (string, Decision, error) {
+	// Fail before labeling: unauthenticated principals must not consume
+	// labeling work or label-cache capacity.
+	if !sys.store.Has(principal) {
+		return "", Decision{}, errNoPolicy(principal)
 	}
 	key := cq.CanonicalKey(q)
 	lbl, err := sys.labeler.Load().LabelCanonical(key, q)
-	if timed {
-		tr.tLabel = time.Now()
-	}
+	tr.tLabel = tr.now()
 	if err != nil {
-		sys.errored.Add(1)
-		err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, err)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, err
+		return key, Decision{}, fmt.Errorf("disclosure: labeling %s: %w", q.Name, err)
 	}
 	dec, err := sys.decide(principal, q, lbl)
-	if timed {
-		tr.tDecide = time.Now()
-	}
-	if err != nil {
-		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		}
-		sys.errored.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, err
-	}
-	outcome := outcomeRefused
-	if dec.Allowed {
-		outcome = outcomeAdmitted
-		sys.admitted.Add(1)
-	} else {
-		sys.refused.Add(1)
-	}
-	if timed {
-		sys.finishSubmit(tr, outcome, principal, q, key, dec, nil)
-	}
-	return dec, nil
+	tr.tDecide = tr.now()
+	return key, dec, err
 }
 
 // Evaluate runs a query against the current database snapshot without
@@ -372,12 +304,23 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 // given per-principal order; refusals are logged too, since they advance
 // the session's refusal count) — then the caller waits, outside the lock,
 // for the record's group-commit window to reach disk before the decision
-// is released.
-func (sys *System) decide(principal string, q *Query, lbl Label) (Decision, error) {
+// is released. A policy removed since the caller's check surfaces as
+// ErrNoPolicy.
+func (sys *System) decide(principal string, q *Query, lbl Label) (dec Decision, err error) {
 	if d := sys.dur; d != nil {
-		return d.decide(principal, q, lbl)
+		dec, err = d.decide(principal, q, lbl)
+	} else {
+		dec, err = sys.store.Submit(principal, lbl)
 	}
-	return sys.store.Submit(principal, lbl)
+	if errors.Is(err, policy.ErrUnknownPrincipal) {
+		err = errNoPolicy(principal)
+	}
+	return dec, err
+}
+
+// errNoPolicy is the ErrNoPolicy error for one principal.
+func errNoPolicy(principal string) error {
+	return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
 }
 
 // BatchResult is the outcome of one query of a SubmitBatch call.
@@ -408,16 +351,12 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 	// (same rationale as Submit). A policy removed mid-batch is still
 	// caught per-query in stage 2.
 	if !sys.store.Has(principal) {
+		sys.queries.Add(uint64(len(qs)))
+		err := errNoPolicy(principal)
 		for i := range out {
-			sys.queries.Add(1)
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
-			out[i].Err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			sys.auditSubmission(outcomeErrored, principal, qs[i], "", Decision{}, out[i].Err, 0, 0, 0, 0)
+			out[i].Err = err
 		}
+		sys.landBatch(principal, qs, keys, out, nil, nil)
 		return out
 	}
 
@@ -440,19 +379,13 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 	}
 	for i, err := range labelErrs {
 		if err != nil {
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
 			out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", qs[i].Name, err)
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			sys.auditSubmission(outcomeErrored, principal, qs[i], keys[i], Decision{}, out[i].Err, 0, 0, 0, 0)
 		}
 	}
 
 	// Stage 2: sequential decisions in slice order. Per-item decide
 	// durations are kept (when instrumented) for the stage histogram and
-	// the slow-query audit pass after evaluation.
+	// each item's end-to-end time.
 	var decideDur, evalDur []time.Duration
 	if timed {
 		decideDur = make([]time.Duration, len(qs))
@@ -466,35 +399,11 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 		if timed {
 			td = time.Now()
 		}
-		dec, err := sys.decide(principal, qs[i], labels[i])
+		out[i].Decision, out[i].Err = sys.decide(principal, qs[i], labels[i])
 		if timed {
 			decideDur[i] = time.Since(td)
 			if m != nil {
 				m.stageDecide.Observe(decideDur[i].Seconds())
-			}
-		}
-		if err != nil {
-			if errors.Is(err, policy.ErrUnknownPrincipal) {
-				err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-			}
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
-			out[i].Err = err
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			continue
-		}
-		out[i].Decision = dec
-		if dec.Allowed {
-			sys.admitted.Add(1)
-			if m != nil {
-				m.outcomes[outcomeAdmitted].Inc()
-			}
-		} else {
-			sys.refused.Add(1)
-			if m != nil {
-				m.outcomes[outcomeRefused].Inc()
 			}
 		}
 	}
@@ -535,41 +444,36 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 				evalDur[i] = d
 			}
 		}
-		if err != nil {
-			for _, i := range idx {
-				out[i].Err = err
-			}
-			return
-		}
 		for _, i := range idx {
-			out[i].Rows = rows
+			out[i].Rows, out[i].Err = rows, err
 		}
 	})
-
-	// Audit pass: refusals, post-decision errors, and slow items. A
-	// batch item's clock is its own decide plus its form's evaluation —
-	// the shared label stage is not attributed to single items.
-	// Labeling errors were audited in stage 1.
-	if sys.audit != nil {
-		for i := range qs {
-			if out[i].Err != nil && decideDur[i] == 0 {
-				continue // audited at the labeling stage
-			}
-			// An eval failure after admission stays "admitted" with the
-			// error recorded — the disclosure decision was made and the
-			// session advanced, mirroring the Stats counters.
-			outcome := outcomeAdmitted
-			switch {
-			case out[i].Err != nil && !out[i].Decision.Allowed:
-				outcome = outcomeErrored
-			case out[i].Err == nil && !out[i].Decision.Allowed:
-				outcome = outcomeRefused
-			}
-			total := decideDur[i] + evalDur[i]
-			sys.auditSubmission(outcome, principal, qs[i], keys[i], out[i].Decision, out[i].Err, 0, decideDur[i], evalDur[i], total)
-		}
-	}
+	sys.landBatch(principal, qs, keys, out, decideDur, evalDur)
 	return out
+}
+
+// landBatch records the outcome of every SubmitBatch item, in slice order,
+// through recordOutcome. An item's clock is its own decide plus its form's
+// evaluation — the shared label stage is not attributed to single items —
+// and all zero when the batch was not timed (nil durations).
+func (sys *System) landBatch(principal string, qs []*Query, keys []string, out []BatchResult, decideDur, evalDur []time.Duration) {
+	for i, r := range out {
+		// An eval failure after admission stays "admitted" with the error
+		// recorded, as in Submit: the disclosure decision was made and the
+		// session advanced.
+		outcome := outcomeAdmitted
+		switch {
+		case !r.Decision.Allowed && r.Err != nil:
+			outcome = outcomeErrored
+		case !r.Decision.Allowed:
+			outcome = outcomeRefused
+		}
+		var st stageTimes
+		if decideDur != nil {
+			st = stageTimes{decide: decideDur[i], eval: evalDur[i], total: decideDur[i] + evalDur[i]}
+		}
+		sys.recordOutcome(outcome, principal, qs[i], keys[i], r.Decision, r.Err, st)
+	}
 }
 
 // SetPlanCacheCapacity replaces the engine's compiled-plan cache with an
@@ -617,9 +521,9 @@ func forEachConcurrent(n int, f func(i int)) {
 //
 //	Queries == Admitted + Refused + Errored + in-flight
 //
-// where in-flight is the number of submissions that have entered Submit or
-// SubmitBatch but not yet reached their outcome counter. When the system is
-// quiescent (no submission in flight) the identity is exact:
+// where in-flight is the number of submissions that have entered Submit,
+// Decide or SubmitBatch but not yet reached their outcome counter. When
+// the system is quiescent (no submission in flight) the identity is exact:
 // Queries == Admitted + Refused + Errored. TestStatsIdentity enforces this.
 type SystemStats struct {
 	// Queries counts every submission (admitted, refused, or errored),
@@ -632,7 +536,8 @@ type SystemStats struct {
 	Admitted uint64 `json:"admitted"`
 	Refused  uint64 `json:"refused"`
 	// Errored counts submissions that never reached a policy outcome:
-	// principals without a policy and labeling failures.
+	// principals without a policy, labeling failures, and decisions a
+	// durable System could not make (fenced, lease expired, log error).
 	Errored uint64 `json:"errored"`
 	// Cache reports label-cache effectiveness (hits, misses, evictions,
 	// residency).
@@ -653,9 +558,9 @@ func (s SystemStats) CacheHitRate() float64 { return s.Cache.HitRate() }
 func (sys *System) Stats() SystemStats {
 	return SystemStats{
 		Queries:  sys.queries.Load(),
-		Admitted: sys.admitted.Load(),
-		Refused:  sys.refused.Load(),
-		Errored:  sys.errored.Load(),
+		Admitted: sys.outcomes[outcomeAdmitted].Load(),
+		Refused:  sys.outcomes[outcomeRefused].Load(),
+		Errored:  sys.outcomes[outcomeErrored].Load(),
 		Cache:    sys.labeler.Load().Stats(),
 		Plans:    sys.db.PlanStats(),
 	}
@@ -667,15 +572,15 @@ func (sys *System) Stats() SystemStats {
 // principals without a policy.
 func (sys *System) explainWith(principal string, q *Query, f func(m *Monitor, lbl Label)) error {
 	if !sys.store.Has(principal) {
-		return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
+		return errNoPolicy(principal)
 	}
 	lbl, err := sys.labeler.Load().Label(q)
 	if err != nil {
 		return err
 	}
 	err = sys.store.Do(principal, func(m *Monitor) { f(m, lbl) })
-	if err != nil && errors.Is(err, policy.ErrUnknownPrincipal) {
-		return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
+	if errors.Is(err, policy.ErrUnknownPrincipal) {
+		return errNoPolicy(principal)
 	}
 	return err
 }

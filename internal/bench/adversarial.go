@@ -3,12 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
-
-	disclosure "repro"
-	"repro/internal/fb"
-	"repro/internal/workload"
 )
 
 // The throughput experiments (RunEngine, RunServe) measure the friendly
@@ -68,56 +63,21 @@ func DefaultAdversarialConfig() AdversarialConfig {
 // AdversarialModes lists the measured traffic shapes.
 var AdversarialModes = []string{"repetitive", "hostile"}
 
-// AdversarialPoint is one measured cell: a (mode, goroutines) pair.
-type AdversarialPoint struct {
-	// Mode is "repetitive" (bounded pool, default caches) or "hostile"
-	// (all-distinct templates, shrunken caches).
-	Mode string `json:"mode"`
-	// Goroutines is the submission concurrency of this cell.
-	Goroutines int `json:"goroutines"`
-	// Queries is the number of measured submissions.
-	Queries int `json:"queries"`
-	// ElapsedSeconds is the wall time of the cell.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// ThroughputQPS is Queries / ElapsedSeconds.
-	ThroughputQPS float64 `json:"throughput_qps"`
-	// Latency percentiles over per-submission times, in microseconds.
-	LatencyP50Us float64 `json:"latency_p50_us"`
-	LatencyP95Us float64 `json:"latency_p95_us"`
-	LatencyP99Us float64 `json:"latency_p99_us"`
-	LatencyMaxUs float64 `json:"latency_max_us"`
-	// Admitted, Refused and Errored are the system's outcome counters for
-	// the cell.
-	Admitted uint64 `json:"admitted"`
-	Refused  uint64 `json:"refused"`
-	Errored  uint64 `json:"errored"`
-	// LabelHitRate and PlanHitRate report cache effectiveness over the
-	// cell — near 1 in the repetitive mode, collapsing in the hostile mode.
-	LabelHitRate float64 `json:"label_hit_rate"`
-	PlanHitRate  float64 `json:"plan_hit_rate"`
-}
-
-// AdversarialReport is the JSON archive of one adversarial run
-// (BENCH_adversarial.json in CI).
-type AdversarialReport struct {
-	Experiment string             `json:"experiment"`
-	Config     AdversarialConfig  `json:"config"`
-	Points     []AdversarialPoint `json:"points"`
-}
-
 // RunAdversarial runs the adversarial experiment: for each mode and each
 // concurrency level a fresh system (fresh graph, cold caches), Zipf-skewed
 // principal draws, and a measured closed-loop run recording every
-// submission's latency.
-func RunAdversarial(cfg AdversarialConfig) (*AdversarialReport, error) {
+// submission's latency. The report has one series per mode, X =
+// goroutines, with throughput, latency percentiles in microseconds, the
+// outcome counters and the label- and plan-cache hit rates per cell.
+func RunAdversarial(cfg AdversarialConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
 	if cfg.Users < 1 || cfg.Principals < 1 {
 		return nil, fmt.Errorf("bench: Users and Principals must be at least 1")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	if cfg.ZipfS <= 1 {
 		return nil, fmt.Errorf("bench: ZipfS must be > 1, got %g", cfg.ZipfS)
@@ -125,8 +85,9 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialReport, error) {
 	if cfg.CacheCapacity < 1 {
 		return nil, fmt.Errorf("bench: CacheCapacity must be at least 1")
 	}
-	report := &AdversarialReport{Experiment: "adversarial", Config: cfg}
+	r := newReport("adversarial", cfg)
 	for _, mode := range AdversarialModes {
+		s := Series{Name: mode, XLabel: "goroutines"}
 		for _, g := range cfg.Goroutines {
 			if g < 1 {
 				return nil, fmt.Errorf("bench: goroutine count %d must be at least 1", g)
@@ -135,40 +96,21 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: adversarial (%s, g=%d): %w", mode, g, err)
 			}
-			report.Points = append(report.Points, *p)
+			s.Points = append(s.Points, p)
 		}
+		r.Series = append(r.Series, s)
 	}
-	return report, nil
+	return r, nil
 }
 
 // runAdversarialCell measures one (mode, goroutines) cell on a fresh system.
-func runAdversarialCell(cfg AdversarialConfig, mode string, g int) (*AdversarialPoint, error) {
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
+func runAdversarialCell(cfg AdversarialConfig, mode string, g int) (Point, error) {
+	f, err := newFixture(nil, cfg.Users, cfg.Seed, cfg.Principals)
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	sys, err := disclosure.NewSystem(s, views...)
-	if err != nil {
-		return nil, err
-	}
-	err = sys.LoadBatch(func(ld *disclosure.Loader) error {
-		return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
-	principals := make([]string, cfg.Principals)
-	for i := range principals {
-		principals[i] = fmt.Sprintf("app-%d", i)
-		if err := sys.SetPolicy(principals[i], map[string][]string{"all": allViews}); err != nil {
-			return nil, err
-		}
-	}
+	defer f.close()
+	sys := f.sys
 
 	// The hostile mode shrinks both canonical-form caches and gives every
 	// submission a distinct template, so lookups thrash instead of warming.
@@ -178,15 +120,10 @@ func runAdversarialCell(cfg AdversarialConfig, mode string, g int) (*Adversarial
 		sys.SetPlanCacheCapacity(cfg.CacheCapacity)
 		pool = cfg.Queries
 	}
-	w, err := workload.New(s, workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	})
+	queries, err := queryPool(workloadOptions(cfg.Seed, cfg.MaxAtoms), pool)
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	queries := w.Batch(pool)
 
 	// Pre-draw the per-submission principal (Zipf over rank: principal 0
 	// hottest) and template indices, so the measured loop does no random
@@ -196,6 +133,10 @@ func runAdversarialCell(cfg AdversarialConfig, mode string, g int) (*Adversarial
 	who := make([]uint16, cfg.Queries)
 	for i := range who {
 		who[i] = uint16(zipf.Uint64())
+	}
+	principals := make([]string, cfg.Principals)
+	for i := range principals {
+		principals[i] = principal(i)
 	}
 
 	before := sys.Stats()
@@ -207,46 +148,20 @@ func runAdversarialCell(cfg AdversarialConfig, mode string, g int) (*Adversarial
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
 	after := sys.Stats()
 
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return &AdversarialPoint{
-		Mode:           mode,
-		Goroutines:     g,
-		Queries:        cfg.Queries,
-		ElapsedSeconds: elapsed,
-		ThroughputQPS:  float64(cfg.Queries) / elapsed,
-		LatencyP50Us:   percentileUs(lat, 0.50),
-		LatencyP95Us:   percentileUs(lat, 0.95),
-		LatencyP99Us:   percentileUs(lat, 0.99),
-		LatencyMaxUs:   percentileUs(lat, 1.00),
-		Admitted:       after.Admitted - before.Admitted,
-		Refused:        after.Refused - before.Refused,
-		Errored:        after.Errored - before.Errored,
-		LabelHitRate:   after.Cache.HitRate(),
-		PlanHitRate:    after.Plans.HitRate(),
-	}, nil
-}
-
-// percentileUs returns the q-quantile of a sorted latency slice in
-// microseconds (nearest-rank).
-func percentileUs(sorted []time.Duration, q float64) float64 {
-	return percentileMs(sorted, q) * 1000
-}
-
-// FormatAdversarial renders an adversarial report as an aligned text table.
-func FormatAdversarial(r *AdversarialReport) string {
-	out := fmt.Sprintf("Adversarial — Zipf(s=%g) principals over %d apps, %d-user graph, %d submissions/cell\n",
-		r.Config.ZipfS, r.Config.Principals, r.Config.Users, r.Config.Queries)
-	out += fmt.Sprintf("%-11s %4s %12s %10s %10s %10s %12s %7s %7s\n",
-		"mode", "g", "qps", "p50 µs", "p95 µs", "p99 µs", "max µs", "lblHit", "plnHit")
-	for _, p := range r.Points {
-		out += fmt.Sprintf("%-11s %4d %12.0f %10.1f %10.1f %10.1f %12.1f %7.3f %7.3f\n",
-			p.Mode, p.Goroutines, p.ThroughputQPS,
-			p.LatencyP50Us, p.LatencyP95Us, p.LatencyP99Us, p.LatencyMaxUs,
-			p.LabelHitRate, p.PlanHitRate)
+	v := map[string]float64{
+		"queries":         float64(cfg.Queries),
+		"elapsed_seconds": elapsed,
+		"throughput_qps":  float64(cfg.Queries) / elapsed,
+		"admitted":        float64(after.Admitted - before.Admitted),
+		"refused":         float64(after.Refused - before.Refused),
+		"errored":         float64(after.Errored - before.Errored),
+		"label_hit_rate":  after.Cache.HitRate(),
+		"plan_hit_rate":   after.Plans.HitRate(),
 	}
-	return out
+	addLatencies(v, lat, "us")
+	return Point{X: g, Values: v}, nil
 }

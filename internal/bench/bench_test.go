@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,32 +12,40 @@ import (
 	"repro/internal/workload"
 )
 
-func TestRunFigure5Small(t *testing.T) {
-	cfg := Figure5Config{Queries: 200, MaxAtoms: []int{3, 6}, Seed: 1}
-	series, err := RunFigure5(cfg)
-	if err != nil {
-		t.Fatal(err)
+// checkTimed asserts a report of n series of m timed points each, every
+// one with a positive seconds_per_1M.
+func checkTimed(t *testing.T, r *Report, n, m int) {
+	t.Helper()
+	if len(r.Series) != n {
+		t.Fatalf("got %d series, want %d", len(r.Series), n)
 	}
-	if len(series) != 4 {
-		t.Fatalf("got %d series, want 4", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Errorf("series %s has %d points, want 2", s.Name, len(s.Points))
+	for _, s := range r.Series {
+		if len(s.Points) != m {
+			t.Errorf("series %s has %d points, want %d", s.Name, len(s.Points), m)
 		}
 		for _, p := range s.Points {
-			if p.SecondsPer1M <= 0 {
+			if p.Values[secondsPer1M] <= 0 {
 				t.Errorf("series %s: nonpositive time at x=%d", s.Name, p.X)
 			}
 		}
 	}
-	out := FormatSeries("Figure 5", "max atoms per query", series)
+}
+
+func TestRunFigure5Small(t *testing.T) {
+	cfg := Figure5Config{Queries: 200, MaxAtoms: []int{3, 6}, Seed: 1}
+	r, err := RunFigure5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTimed(t, r, 4, 2)
+	out := FormatText(r)
 	if !strings.Contains(out, "baseline") || !strings.Contains(out, "bit vectors + hashing") {
 		t.Errorf("format output missing series:\n%s", out)
 	}
-	tsv := FormatTSV(series)
-	if !strings.Contains(tsv, "hashing only\t3\t") {
-		t.Errorf("TSV output malformed:\n%s", tsv)
+	for _, k := range []string{"speedup_bitvec_hashing_vs_baseline@3", "speedup_bitvec_hashing_vs_baseline@6"} {
+		if r.Summary[k] <= 0 {
+			t.Errorf("summary %s = %v, want a positive speedup", k, r.Summary[k])
+		}
 	}
 }
 
@@ -58,20 +67,13 @@ func TestRunFigure6Small(t *testing.T) {
 		MaxElems:      []int{5, 20},
 		Seed:          3,
 	}
-	series, err := RunFigure6(cfg)
+	r, err := RunFigure6(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Errorf("series %s has %d points", s.Name, len(s.Points))
-		}
-	}
-	if series[0].Name != "1-way, 50 users" {
-		t.Errorf("series name = %q", series[0].Name)
+	checkTimed(t, r, 2, 2)
+	if r.Series[0].Name != "1-way, 50 users" {
+		t.Errorf("series name = %q", r.Series[0].Name)
 	}
 }
 
@@ -173,12 +175,41 @@ func TestCompactReset(t *testing.T) {
 	}
 }
 
+// TestSpeedup: speedups pair points by their x values, not by position,
+// and skip x values only one series has.
 func TestSpeedup(t *testing.T) {
-	slow := Series{Points: []Point{{X: 3, SecondsPer1M: 9}, {X: 6, SecondsPer1M: 12}}}
-	fast := Series{Points: []Point{{X: 3, SecondsPer1M: 3}, {X: 6, SecondsPer1M: 4}}}
-	s := Speedup(slow, fast)
-	if len(s) != 2 || s[0] != 3 || s[1] != 3 {
-		t.Errorf("Speedup = %v", s)
+	r := newReport("test", nil)
+	r.Series = []Series{
+		{Name: "slow", Points: []Point{timedPoint(3, 1, 9e-6), timedPoint(6, 1, 12e-6), timedPoint(9, 1, 1e-6)}},
+		{Name: "fast", Points: []Point{timedPoint(6, 1, 4e-6), timedPoint(3, 1, 3e-6)}},
+	}
+	r.speedup("s", "slow", "fast")
+	r.speedup("missing", "slow", "nope")
+	if len(r.Summary) != 2 || math.Abs(r.Summary["s@3"]-3) > 1e-9 || math.Abs(r.Summary["s@6"]-3) > 1e-9 {
+		t.Errorf("speedup summary = %v, want s@3 = s@6 = 3", r.Summary)
+	}
+}
+
+// TestFormatTextOwnX: every row carries its own point's x value, also
+// when the series of one report sweep different x-axes (the wal
+// experiment's submit series over goroutines, load series over users).
+func TestFormatTextOwnX(t *testing.T) {
+	r := newReport("wal", nil)
+	r.Series = []Series{
+		{Name: "submit wal", XLabel: "goroutines", Points: []Point{timedPoint(1, 10, 1), timedPoint(4, 10, 1)}},
+		{Name: "load wal", XLabel: "users", Points: []Point{timedPoint(100, 10, 1), timedPoint(300, 10, 1)}},
+	}
+	r.Summary["slowdown@1"] = 2.5
+	out := FormatText(r)
+	for _, want := range []string{"goroutines=1", "goroutines=4", "users=100", "users=300", "slowdown@1: 2.50"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "load wal") && strings.Contains(line, "goroutines=") {
+			t.Errorf("load row labeled with a goroutine count: %q", line)
+		}
 	}
 }
 
@@ -192,7 +223,7 @@ func TestHumanCount(t *testing.T) {
 }
 
 func TestRunFootnote3Small(t *testing.T) {
-	series, err := RunFootnote3(Footnote3Config{
+	r, err := RunFootnote3(Footnote3Config{
 		Queries:          300,
 		Relations:        []int{4, 20},
 		ViewsPerRelation: 3,
@@ -201,26 +232,14 @@ func TestRunFootnote3Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Errorf("series %s has %d points", s.Name, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.SecondsPer1M <= 0 {
-				t.Errorf("series %s: nonpositive time", s.Name)
-			}
-		}
-	}
+	checkTimed(t, r, 2, 2)
 	if _, err := RunFootnote3(Footnote3Config{Queries: 0}); err == nil {
 		t.Error("zero queries accepted")
 	}
 }
 
 func TestRunEngineSmall(t *testing.T) {
-	series, err := RunEngine(EngineConfig{
+	r, err := RunEngine(EngineConfig{
 		Queries:    200,
 		Users:      []int{20, 40},
 		MaxAtoms:   6,
@@ -231,19 +250,7 @@ func TestRunEngineSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 4 { // {planned, reference} × {1, 2} goroutines
-		t.Fatalf("got %d series, want 4", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Errorf("series %s has %d points", s.Name, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.SecondsPer1M <= 0 {
-				t.Errorf("series %s: nonpositive time", s.Name)
-			}
-		}
-	}
+	checkTimed(t, r, 4, 2) // {planned, reference} × {1, 2} goroutines
 	if _, err := RunEngine(EngineConfig{Queries: 0}); err == nil {
 		t.Error("zero queries accepted")
 	}
@@ -268,41 +275,35 @@ func TestRunAdversarialSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Points) != 4 { // {repetitive, hostile} × {1, 2} goroutines
-		t.Fatalf("got %d points, want 4", len(report.Points))
+	if len(report.Series) != 2 { // {repetitive, hostile} × {1, 2} goroutines
+		t.Fatalf("got %d series, want 2", len(report.Series))
 	}
-	for _, p := range report.Points {
-		if p.ThroughputQPS <= 0 || p.ElapsedSeconds <= 0 {
-			t.Errorf("%s g=%d: nonpositive throughput", p.Mode, p.Goroutines)
+	for _, s := range report.Series {
+		if len(s.Points) != 2 {
+			t.Fatalf("%s: got %d points, want 2", s.Name, len(s.Points))
 		}
-		if p.LatencyP50Us <= 0 || p.LatencyP99Us < p.LatencyP50Us || p.LatencyMaxUs < p.LatencyP99Us {
-			t.Errorf("%s g=%d: implausible latency ordering p50=%g p99=%g max=%g",
-				p.Mode, p.Goroutines, p.LatencyP50Us, p.LatencyP99Us, p.LatencyMaxUs)
-		}
-		if p.Admitted+p.Refused+p.Errored != uint64(cfg.Queries) {
-			t.Errorf("%s g=%d: outcomes don't sum to %d", p.Mode, p.Goroutines, cfg.Queries)
+		for _, p := range s.Points {
+			v := p.Values
+			if v["throughput_qps"] <= 0 || v["elapsed_seconds"] <= 0 {
+				t.Errorf("%s g=%d: nonpositive throughput", s.Name, p.X)
+			}
+			if v["latency_p50_us"] <= 0 || v["latency_p99_us"] < v["latency_p50_us"] || v["latency_max_us"] < v["latency_p99_us"] {
+				t.Errorf("%s g=%d: implausible latency ordering p50=%g p99=%g max=%g",
+					s.Name, p.X, v["latency_p50_us"], v["latency_p99_us"], v["latency_max_us"])
+			}
+			if v["admitted"]+v["refused"]+v["errored"] != float64(cfg.Queries) {
+				t.Errorf("%s g=%d: outcomes don't sum to %d", s.Name, p.X, cfg.Queries)
+			}
 		}
 	}
 	// The hostile mode must actually hurt the caches relative to the
 	// repetitive mode at the same concurrency.
-	var rep, hos *AdversarialPoint
-	for i := range report.Points {
-		p := &report.Points[i]
-		if p.Goroutines != 1 {
-			continue
-		}
-		switch p.Mode {
-		case "repetitive":
-			rep = p
-		case "hostile":
-			hos = p
-		}
-	}
-	if rep == nil || hos == nil {
+	rep, hos := report.series("repetitive"), report.series("hostile")
+	if rep == nil || hos == nil || rep.Points[0].X != 1 || hos.Points[0].X != 1 {
 		t.Fatal("missing g=1 points")
 	}
-	if hos.LabelHitRate >= rep.LabelHitRate {
-		t.Errorf("hostile label hit rate %.3f not below repetitive %.3f", hos.LabelHitRate, rep.LabelHitRate)
+	if h, r := hos.Points[0].Values["label_hit_rate"], rep.Points[0].Values["label_hit_rate"]; h >= r {
+		t.Errorf("hostile label hit rate %.3f not below repetitive %.3f", h, r)
 	}
 	if _, err := RunAdversarial(AdversarialConfig{Queries: 0}); err == nil {
 		t.Error("zero queries accepted")
@@ -310,7 +311,7 @@ func TestRunAdversarialSmall(t *testing.T) {
 	if _, err := RunAdversarial(AdversarialConfig{Queries: 1, Pool: 1, Users: 1, Principals: 1, MaxAtoms: 6, ZipfS: 0.5, CacheCapacity: 1}); err == nil {
 		t.Error("ZipfS <= 1 accepted")
 	}
-	if s := FormatAdversarial(report); len(s) == 0 {
-		t.Error("empty report rendering")
+	if s := FormatText(report); !strings.Contains(s, "hostile") {
+		t.Errorf("report rendering lacks the hostile series:\n%s", s)
 	}
 }

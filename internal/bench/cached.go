@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fb"
 	"repro/internal/label"
-	"repro/internal/workload"
 )
 
 // CachedConfig configures the memoized-labeling throughput experiment: the
@@ -45,7 +44,7 @@ func DefaultCachedConfig() CachedConfig {
 
 // RunCached runs the cached-vs-uncached labeling experiment and returns one
 // series per (variant, goroutine count) pair.
-func RunCached(cfg CachedConfig) ([]Series, error) {
+func RunCached(cfg CachedConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
@@ -66,23 +65,21 @@ func RunCached(cfg CachedConfig) ([]Series, error) {
 			return label.NewCachedLabeler(label.NewLabeler(cat), capacity)
 		}},
 	}
-	var out []Series
+	r := newReport("cached", cfg)
 	for _, v := range variants {
 		for _, g := range cfg.Goroutines {
 			if g <= 0 {
 				return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
 			}
-			s := Series{Name: fmt.Sprintf("%s g=%d", v.name, g)}
+			s := Series{Name: fmt.Sprintf("%s g=%d", v.name, g), XLabel: "max_atoms"}
 			for _, ma := range cfg.MaxAtoms {
-				if ma < 3 || ma%3 != 0 {
-					return nil, fmt.Errorf("bench: MaxAtoms value %d is not a positive multiple of 3", ma)
+				if err := checkMaxAtoms(ma); err != nil {
+					return nil, err
 				}
-				gen := workload.MustNew(fb.Schema(), workload.Options{
-					Seed:                     cfg.Seed,
-					MaxSubqueries:            ma / 3,
-					FriendScopesMarkIsFriend: true,
-				})
-				pool := gen.Batch(cfg.Pool)
+				pool, err := queryPool(workloadOptions(cfg.Seed, ma), cfg.Pool)
+				if err != nil {
+					return nil, err
+				}
 				l := v.mk() // fresh labeler (and cache) per point
 				elapsed, err := timeConcurrent(cfg.Queries, g, func(i int) error {
 					_, err := l.Label(pool[i%len(pool)])
@@ -91,15 +88,10 @@ func RunCached(cfg CachedConfig) ([]Series, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: labeling failed: %w", err)
 				}
-				s.Points = append(s.Points, Point{
-					X:             ma,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-					QueriesTimed:  cfg.Queries,
-					ElapsedSecond: elapsed,
-				})
+				s.Points = append(s.Points, timedPoint(ma, cfg.Queries, elapsed))
 			}
-			out = append(out, s)
+			r.Series = append(r.Series, s)
 		}
 	}
-	return out, nil
+	return r, nil
 }

@@ -2,14 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/fb"
-	"repro/internal/workload"
 )
 
 // EngineConfig configures the evaluation-engine throughput experiment: the
@@ -49,13 +45,15 @@ func DefaultEngineConfig() EngineConfig {
 // RunEngine runs the engine experiment and returns one series per
 // (variant, goroutine count) pair, with X = users in the graph. Each cell
 // starts cold (fresh database, empty plan cache, unmaterialized reference
-// state) and warms up within the measured run, mirroring RunCached.
-func RunEngine(cfg EngineConfig) ([]Series, error) {
+// state) and warms up within the measured run, mirroring RunCached. The
+// summary holds the planned speedup over the reference evaluator per
+// goroutine count and point.
+func RunEngine(cfg EngineConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	for _, g := range cfg.Goroutines {
 		if g <= 0 {
@@ -69,23 +67,18 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 		{"planned", func(db *engine.Database, q *cq.Query) ([]engine.Tuple, error) { return db.Eval(q) }},
 		{"reference", func(db *engine.Database, q *cq.Query) ([]engine.Tuple, error) { return db.EvalReference(q) }},
 	}
-	var out []Series
+	r := newReport("engine", cfg)
 	for _, v := range variants {
 		for _, g := range cfg.Goroutines {
-			s := Series{Name: fmt.Sprintf("%s g=%d", v.name, g)}
+			s := Series{Name: fmt.Sprintf("%s g=%d", v.name, g), XLabel: "users"}
 			for _, users := range cfg.Users {
 				if users < 1 {
 					return nil, fmt.Errorf("bench: Users value %d must be at least 1", users)
 				}
-				w, err := workload.New(fb.Schema(), workload.Options{
-					Seed:                     cfg.Seed,
-					MaxSubqueries:            cfg.MaxAtoms / 3,
-					FriendScopesMarkIsFriend: true,
-				})
+				pool, err := queryPool(workloadOptions(cfg.Seed, cfg.MaxAtoms), cfg.Pool)
 				if err != nil {
 					return nil, err
 				}
-				pool := w.Batch(cfg.Pool)
 				db := engine.NewDatabase(fb.Schema())
 				if err := fb.GenerateGraph(db, users, cfg.Seed); err != nil {
 					return nil, err
@@ -97,51 +90,14 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: engine %s (users=%d): %w", v.name, users, err)
 				}
-				s.Points = append(s.Points, Point{
-					X:             users,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-					QueriesTimed:  cfg.Queries,
-					ElapsedSecond: elapsed,
-				})
+				s.Points = append(s.Points, timedPoint(users, cfg.Queries, elapsed))
 			}
-			out = append(out, s)
+			r.Series = append(r.Series, s)
 		}
 	}
-	return out, nil
-}
-
-// timeConcurrent runs f(0..n-1) across g goroutines and returns the elapsed
-// wall time in seconds, or the first error any worker hit.
-func timeConcurrent(n, g int, f func(i int) error) (float64, error) {
-	var mu sync.Mutex
-	var firstErr error
-	var next atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := f(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
+	for _, g := range cfg.Goroutines {
+		r.speedup(fmt.Sprintf("speedup_planned_vs_reference_g%d", g),
+			fmt.Sprintf("reference g=%d", g), fmt.Sprintf("planned g=%d", g))
 	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return elapsed, nil
+	return r, nil
 }

@@ -44,38 +44,6 @@ func DefaultFailoverConfig() FailoverConfig {
 	return FailoverConfig{Trials: 3, Loaders: 2, WarmRows: 200, Seed: 2013}
 }
 
-// FailoverTrial is one measured kill→promote cycle.
-type FailoverTrial struct {
-	// AckedLoads is how many background loads the dead primary had
-	// acknowledged.
-	AckedLoads int64 `json:"acked_loads"`
-	// AppliedOps is the replicated prefix the follower had applied at
-	// promotion (from the promote response).
-	AppliedOps uint64 `json:"applied_ops"`
-	// Epoch is the successor decision epoch the promoted node decides
-	// under.
-	Epoch uint64 `json:"epoch"`
-	// PromoteMs is the round-trip time of POST /v1/repl/promote: drain,
-	// durable epoch record, role flip.
-	PromoteMs float64 `json:"promote_ms"`
-	// FirstWriteMs is the headline metric: promotion request to the first
-	// admitted write on the promoted node.
-	FirstWriteMs float64 `json:"first_write_ms"`
-}
-
-// FailoverReport is the JSON archive of one failover experiment run
-// (BENCH_failover.json in CI).
-type FailoverReport struct {
-	Experiment string          `json:"experiment"`
-	Config     FailoverConfig  `json:"config"`
-	Trials     []FailoverTrial `json:"trials"`
-	// FirstWriteP50Ms is the median time-to-first-admitted-write across
-	// trials.
-	FirstWriteP50Ms float64 `json:"first_write_p50_ms"`
-	// FirstWriteMaxMs is the worst trial.
-	FirstWriteMaxMs float64 `json:"first_write_max_ms"`
-}
-
 // failoverDeployment is the -config file of the failover fixture: the
 // Chinese-Wall pair of relations from the replication test suite.
 const failoverDeployment = `{
@@ -138,8 +106,15 @@ func (d *failoverDaemon) stop() {
 	_ = d.cmd.Wait()
 }
 
-// RunFailover builds disclosured and runs Trials kill→promote cycles.
-func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
+// RunFailover builds disclosured and runs Trials kill→promote cycles. The
+// report has one "trials" series, X = trial index, with each trial's
+// acked_loads (background loads the dead primary had acknowledged),
+// applied_ops (the replicated prefix the follower had applied at
+// promotion), epoch (the successor decision epoch), promote_ms (the round
+// trip of POST /v1/repl/promote: drain, durable epoch record, role flip)
+// and first_write_ms (promotion request to the first write the promoted
+// node admits). The summary holds the median and worst first_write_ms.
+func RunFailover(cfg FailoverConfig) (*Report, error) {
 	if cfg.Trials <= 0 || cfg.Loaders <= 0 || cfg.WarmRows <= 0 {
 		return nil, fmt.Errorf("bench: Trials, Loaders and WarmRows must be positive")
 	}
@@ -157,27 +132,27 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		return nil, err
 	}
 
-	report := &FailoverReport{Experiment: "failover", Config: cfg}
-	for trial := 0; trial < cfg.Trials; trial++ {
-		tr, err := failoverTrial(cfg, bin, cfgPath, filepath.Join(scratch, fmt.Sprintf("trial-%d", trial)))
+	r := newReport("failover", cfg)
+	s := Series{Name: "trials", XLabel: "trial"}
+	firsts := make([]float64, cfg.Trials)
+	for trial := range firsts {
+		v, err := failoverTrial(cfg, bin, cfgPath, filepath.Join(scratch, fmt.Sprintf("trial-%d", trial)))
 		if err != nil {
 			return nil, fmt.Errorf("bench: failover trial %d: %w", trial, err)
 		}
-		report.Trials = append(report.Trials, *tr)
+		s.Points = append(s.Points, Point{X: trial, Values: v})
+		firsts[trial] = v["first_write_ms"]
 	}
-	firsts := make([]float64, len(report.Trials))
-	for i, tr := range report.Trials {
-		firsts[i] = tr.FirstWriteMs
-	}
+	r.Series = append(r.Series, s)
 	sort.Float64s(firsts)
-	report.FirstWriteP50Ms = firsts[len(firsts)/2]
-	report.FirstWriteMaxMs = firsts[len(firsts)-1]
-	return report, nil
+	r.Summary["first_write_p50_ms"] = firsts[len(firsts)/2]
+	r.Summary["first_write_max_ms"] = firsts[len(firsts)-1]
+	return r, nil
 }
 
 // failoverTrial runs one cycle: cluster up, wall replicated, loaders on,
 // SIGKILL, promote, first admitted write.
-func failoverTrial(cfg FailoverConfig, bin, cfgPath, dir string) (*FailoverTrial, error) {
+func failoverTrial(cfg FailoverConfig, bin, cfgPath, dir string) (map[string]float64, error) {
 	prim, err := startFailoverDaemon(bin,
 		"-admin-token", "root",
 		"-config", cfgPath,
@@ -276,7 +251,7 @@ func failoverTrial(cfg FailoverConfig, bin, cfgPath, dir string) (*FailoverTrial
 	wg.Wait()
 
 	// Promote and race to the first admitted write.
-	tr := &FailoverTrial{AckedLoads: acked.Load()}
+	tr := map[string]float64{"acked_loads": float64(acked.Load())}
 	promoteStart := time.Now()
 	req, err := http.NewRequest(http.MethodPost, fol.base+"/v1/repl/promote", nil)
 	if err != nil {
@@ -296,15 +271,15 @@ func failoverTrial(cfg FailoverConfig, bin, cfgPath, dir string) (*FailoverTrial
 	if resp.StatusCode != http.StatusOK || err != nil {
 		return nil, fmt.Errorf("promote status %d (%v)", resp.StatusCode, err)
 	}
-	tr.PromoteMs = float64(time.Since(promoteStart)) / float64(time.Millisecond)
-	tr.Epoch = pr.Epoch
-	tr.AppliedOps = pr.AppliedOps
+	tr["promote_ms"] = float64(time.Since(promoteStart)) / float64(time.Millisecond)
+	tr["epoch"] = float64(pr.Epoch)
+	tr["applied_ops"] = float64(pr.AppliedOps)
 
 	res, err := folApp.Submit("QC(p, e) :- C(p, e, r)")
 	if err != nil || !res.Allowed {
 		return nil, fmt.Errorf("first post-failover write: allowed=%v err=%v", res.Allowed, err)
 	}
-	tr.FirstWriteMs = float64(time.Since(promoteStart)) / float64(time.Millisecond)
+	tr["first_write_ms"] = float64(time.Since(promoteStart)) / float64(time.Millisecond)
 
 	// Safety gate: the recovery time above only counts if the promoted
 	// node still refuses the pre-failover walled query.
@@ -312,19 +287,4 @@ func failoverTrial(cfg FailoverConfig, bin, cfgPath, dir string) (*FailoverTrial
 		return nil, fmt.Errorf("promoted node did not cleanly refuse the walled query (allowed=%v, error=%q, err=%v)", res.Allowed, res.Error, err)
 	}
 	return tr, nil
-}
-
-// FormatFailover renders a failover report as an aligned text table.
-func FormatFailover(r *FailoverReport) string {
-	out := fmt.Sprintf("Failover — SIGKILLed primary, fenced follower promotion (%d trials, %d loaders, %d warm rows)\n",
-		r.Config.Trials, r.Config.Loaders, r.Config.WarmRows)
-	out += fmt.Sprintf("%-8s %12s %12s %8s %12s %16s\n",
-		"trial", "acked loads", "applied ops", "epoch", "promote ms", "first write ms")
-	for i, tr := range r.Trials {
-		out += fmt.Sprintf("%-8d %12d %12d %8d %12.1f %16.1f\n",
-			i, tr.AckedLoads, tr.AppliedOps, tr.Epoch, tr.PromoteMs, tr.FirstWriteMs)
-	}
-	out += fmt.Sprintf("\ntime to first admitted write: p50 %.1f ms, max %.1f ms\n",
-		r.FirstWriteP50Ms, r.FirstWriteMaxMs)
-	return out
 }

@@ -1,12 +1,11 @@
 // Package bench implements the paper's evaluation harness (Section 7.2)
-// and its service-level extensions: the disclosure-labeler throughput
+// and its systems experiments: the disclosure-labeler throughput
 // experiment of Figure 5 (RunFigure5), the policy-checker throughput
 // experiment of Figure 6 (RunFigure6), the schema-scaling experiment of
-// footnote 3 (RunFootnote3), the label-cache experiment (RunCached), the
-// evaluation-engine experiment (RunEngine), and the closed-loop HTTP load
-// experiment against the disclosured server (RunServe). Each runner
-// regenerates one data series set; the cmd/disclosurebench tool and the
-// root testing.B benchmarks are thin wrappers around this package.
+// footnote 3 (RunFootnote3), and the label-cache, engine, HTTP serving,
+// durability, adversarial, sharding, replication, observability and
+// failover experiments. Every runner returns one Report; Experiments is
+// the registry cmd/disclosurebench runs them from.
 package bench
 
 import (
@@ -17,21 +16,6 @@ import (
 	"repro/internal/label"
 	"repro/internal/workload"
 )
-
-// Point is one measurement of a series: x-axis value and seconds normalized
-// to one million queries (the paper's y-axis).
-type Point struct {
-	X             int
-	SecondsPer1M  float64
-	QueriesTimed  int
-	ElapsedSecond float64
-}
-
-// Series is a named curve.
-type Series struct {
-	Name   string
-	Points []Point
-}
 
 // Figure5Config configures the labeler-throughput experiment.
 type Figure5Config struct {
@@ -57,8 +41,9 @@ func DefaultFigure5Config() Figure5Config {
 var Figure5Variants = []string{"query generation only", "bit vectors + hashing", "hashing only", "baseline"}
 
 // RunFigure5 runs the labeler-throughput experiment and returns one series
-// per variant.
-func RunFigure5(cfg Figure5Config) ([]Series, error) {
+// per variant, with the bit-vector+hashing speedup over the baseline per
+// point in the summary.
+func RunFigure5(cfg Figure5Config) (*Report, error) {
 	if cfg.Queries <= 0 {
 		return nil, fmt.Errorf("bench: Queries must be positive")
 	}
@@ -71,18 +56,14 @@ func RunFigure5(cfg Figure5Config) ([]Series, error) {
 		"hashing only":          label.NewHashedLabeler(cat),
 		"baseline":              label.NewBaselineLabeler(cat),
 	}
-	out := make([]Series, 0, len(Figure5Variants))
+	r := newReport("figure5", cfg)
 	for _, name := range Figure5Variants {
-		s := Series{Name: name}
+		s := Series{Name: name, XLabel: "max_atoms"}
 		for _, ma := range cfg.MaxAtoms {
-			if ma < 3 || ma%3 != 0 {
-				return nil, fmt.Errorf("bench: MaxAtoms value %d is not a positive multiple of 3", ma)
+			if err := checkMaxAtoms(ma); err != nil {
+				return nil, err
 			}
-			gen := workload.MustNew(fb.Schema(), workload.Options{
-				Seed:                     cfg.Seed,
-				MaxSubqueries:            ma / 3,
-				FriendScopesMarkIsFriend: true,
-			})
+			gen := workload.MustNew(fb.Schema(), workloadOptions(cfg.Seed, ma))
 			start := time.Now()
 			if name == "query generation only" {
 				for i := 0; i < cfg.Queries; i++ {
@@ -96,15 +77,10 @@ func RunFigure5(cfg Figure5Config) ([]Series, error) {
 					}
 				}
 			}
-			elapsed := time.Since(start).Seconds()
-			s.Points = append(s.Points, Point{
-				X:             ma,
-				SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-				QueriesTimed:  cfg.Queries,
-				ElapsedSecond: elapsed,
-			})
+			s.Points = append(s.Points, timedPoint(ma, cfg.Queries, time.Since(start).Seconds()))
 		}
-		out = append(out, s)
+		r.Series = append(r.Series, s)
 	}
-	return out, nil
+	r.speedup("speedup_bitvec_hashing_vs_baseline", "baseline", "bit vectors + hashing")
+	return r, nil
 }

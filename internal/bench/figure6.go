@@ -159,7 +159,7 @@ func (cp *compactPolicies) check(principal int32, atoms []uint64) bool {
 // RunFigure6 runs the policy-checker experiment and returns one series per
 // (partitions, principals) combination, named as in the paper's legend,
 // e.g. "5-way, 1M users".
-func RunFigure6(cfg Figure6Config) ([]Series, error) {
+func RunFigure6(cfg Figure6Config) (*Report, error) {
 	if cfg.Labels <= 0 {
 		return nil, fmt.Errorf("bench: Labels must be positive")
 	}
@@ -172,11 +172,7 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 	}
 	// Pre-label a pool of 1–3 atom queries (the paper reuses the labels
 	// produced by the Figure-5 experiment).
-	gen := workload.MustNew(fb.Schema(), workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            1,
-		FriendScopesMarkIsFriend: true,
-	})
+	gen := workload.MustNew(fb.Schema(), workloadOptions(cfg.Seed, 3))
 	labeler := label.NewLabeler(cat)
 	pool := make([][]uint64, cfg.LabelPool)
 	for i := range pool {
@@ -192,10 +188,10 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []Series
+	r := newReport("figure6", cfg)
 	for _, maxPart := range cfg.MaxPartitions {
 		for _, principals := range cfg.Principals {
-			s := Series{Name: fmt.Sprintf("%d-way, %s users", maxPart, humanCount(principals))}
+			s := Series{Name: fmt.Sprintf("%d-way, %s users", maxPart, humanCount(principals)), XLabel: "max_elems"}
 			for _, maxElems := range cfg.MaxElems {
 				cp, err := buildPolicies(cat, rng, principals, maxPart, maxElems)
 				if err != nil {
@@ -216,18 +212,12 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 						allowed++
 					}
 				}
-				elapsed := time.Since(start).Seconds()
-				s.Points = append(s.Points, Point{
-					X:             maxElems,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Labels),
-					QueriesTimed:  cfg.Labels,
-					ElapsedSecond: elapsed,
-				})
+				s.Points = append(s.Points, timedPoint(maxElems, cfg.Labels, time.Since(start).Seconds()))
 			}
-			out = append(out, s)
+			r.Series = append(r.Series, s)
 		}
 	}
-	return out, nil
+	return r, nil
 }
 
 func humanCount(n int) string {

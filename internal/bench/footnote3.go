@@ -99,15 +99,15 @@ func syntheticViews(s *schema.Schema, k int) ([]*cq.Query, error) {
 
 // RunFootnote3 measures labeler throughput as the relation count grows,
 // for the hashed+bitvec labeler and the baseline.
-func RunFootnote3(cfg Footnote3Config) ([]Series, error) {
+func RunFootnote3(cfg Footnote3Config) (*Report, error) {
 	if cfg.Queries <= 0 {
 		return nil, fmt.Errorf("bench: Queries must be positive")
 	}
 	if cfg.ViewsPerRelation <= 0 {
 		cfg.ViewsPerRelation = 3
 	}
-	hashed := Series{Name: "bit vectors + hashing"}
-	baseline := Series{Name: "baseline"}
+	hashed := Series{Name: "bit vectors + hashing", XLabel: "relations"}
+	baseline := Series{Name: "baseline", XLabel: "relations"}
 	for _, n := range cfg.Relations {
 		s, err := syntheticSchema(n)
 		if err != nil {
@@ -128,11 +128,7 @@ func RunFootnote3(cfg Footnote3Config) ([]Series, error) {
 			{label.NewLabeler(cat), &hashed},
 			{label.NewBaselineLabeler(cat), &baseline},
 		} {
-			gen, err := workload.New(s, workload.Options{
-				Seed:                     cfg.Seed,
-				MaxSubqueries:            1,
-				FriendScopesMarkIsFriend: true,
-			})
+			gen, err := workload.New(s, workloadOptions(cfg.Seed, 3))
 			if err != nil {
 				return nil, err
 			}
@@ -142,14 +138,10 @@ func RunFootnote3(cfg Footnote3Config) ([]Series, error) {
 					return nil, err
 				}
 			}
-			elapsed := time.Since(start).Seconds()
-			variant.series.Points = append(variant.series.Points, Point{
-				X:             n,
-				SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-				QueriesTimed:  cfg.Queries,
-				ElapsedSecond: elapsed,
-			})
+			variant.series.Points = append(variant.series.Points, timedPoint(n, cfg.Queries, time.Since(start).Seconds()))
 		}
 	}
-	return []Series{hashed, baseline}, nil
+	r := newReport("footnote3", cfg)
+	r.Series = []Series{hashed, baseline}
+	return r, nil
 }

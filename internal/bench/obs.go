@@ -2,13 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	disclosure "repro"
-	"repro/internal/fb"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // ObsConfig configures the observability-overhead experiment: the same
@@ -52,57 +48,22 @@ func DefaultObsConfig() ObsConfig {
 	}
 }
 
-// ObsPoint is one measured cell: one mode at one concurrency level.
-type ObsPoint struct {
-	// Mode is "disabled" or "instrumented".
-	Mode string `json:"mode"`
-	// Goroutines is the submission concurrency of this cell.
-	Goroutines int `json:"goroutines"`
-	// Queries is the number of timed submissions.
-	Queries int `json:"queries"`
-	// ElapsedSeconds is the wall time of the cell; ThroughputQPS is
-	// Queries / ElapsedSeconds.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	ThroughputQPS  float64 `json:"throughput_qps"`
-	// Latency percentiles over per-submission times, in microseconds.
-	LatencyP50Us float64 `json:"latency_p50_us"`
-	LatencyP95Us float64 `json:"latency_p95_us"`
-}
-
-// ObsPair is the matched comparison of the two modes at one concurrency
-// level.
-type ObsPair struct {
-	// Goroutines is the concurrency level of the pair.
-	Goroutines int `json:"goroutines"`
-	// OverheadPercent is the throughput lost to instrumentation:
-	// (1 − instrumented/disabled) × 100. Negative values are run-to-run
-	// noise (instrumentation measured faster).
-	OverheadPercent float64 `json:"overhead_percent"`
-}
-
-// ObsReport is the JSON archive of one obs experiment run
-// (BENCH_obs.json in CI).
-type ObsReport struct {
-	Experiment string     `json:"experiment"`
-	Config     ObsConfig  `json:"config"`
-	Points     []ObsPoint `json:"points"`
-	Pairs      []ObsPair  `json:"pairs"`
-	// OverheadPercent is the worst (largest) per-pair overhead — the
-	// headline number the ≤5% acceptance gate reads.
-	OverheadPercent float64 `json:"overhead_percent"`
-}
-
 // RunObs runs the observability-overhead experiment. Each cell gets a
 // fresh System so the label and plan caches start cold in both modes and
 // warm identically; the instrumented mode registers its collectors in a
 // fresh registry, so the measurement is hermetic with respect to
-// process-wide state.
-func RunObs(cfg ObsConfig) (*ObsReport, error) {
+// process-wide state. The report has a "disabled" and an "instrumented"
+// series (X = goroutines, the best run of each mode) and an "overhead"
+// series of overhead_percent — the throughput lost to instrumentation,
+// (1 − instrumented/disabled) × 100, negative values being run-to-run
+// noise — whose worst (largest) value is the summary's overhead_percent,
+// the number the ≤5% budget reads.
+func RunObs(cfg ObsConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("bench: Users must be at least 1")
@@ -110,7 +71,10 @@ func RunObs(cfg ObsConfig) (*ObsReport, error) {
 	if cfg.Repeats < 1 {
 		return nil, fmt.Errorf("bench: Repeats must be at least 1")
 	}
-	report := &ObsReport{Experiment: "obs", Config: cfg}
+	r := newReport("obs", cfg)
+	modes := []Series{{Name: "disabled", XLabel: "goroutines"}, {Name: "instrumented", XLabel: "goroutines"}}
+	overhead := Series{Name: "overhead", XLabel: "goroutines"}
+	worst := 0.0
 	for _, g := range cfg.Goroutines {
 		if g <= 0 {
 			return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
@@ -119,57 +83,38 @@ func RunObs(cfg ObsConfig) (*ObsReport, error) {
 		// transient machine noise (GC, scheduler, neighbors) only slows
 		// runs down, so the per-mode minimum is the cleanest estimate and
 		// interleaving gives both modes the same exposure to drift.
-		var pair [2]*ObsPoint
+		var best [2]Point
 		for rep := 0; rep < cfg.Repeats; rep++ {
-			for i, mode := range [2]string{"disabled", "instrumented"} {
-				p, err := runObsCell(cfg, g, mode)
+			for i := range modes {
+				p, err := runObsCell(cfg, g, modes[i].Name)
 				if err != nil {
-					return nil, fmt.Errorf("bench: obs (%s, goroutines=%d): %w", mode, g, err)
+					return nil, fmt.Errorf("bench: obs (%s, goroutines=%d): %w", modes[i].Name, g, err)
 				}
-				if pair[i] == nil || p.ThroughputQPS > pair[i].ThroughputQPS {
-					pair[i] = p
+				if best[i].Values == nil || p.Values["throughput_qps"] > best[i].Values["throughput_qps"] {
+					best[i] = p
 				}
 			}
 		}
-		report.Points = append(report.Points, *pair[0], *pair[1])
-		overhead := (1 - pair[1].ThroughputQPS/pair[0].ThroughputQPS) * 100
-		report.Pairs = append(report.Pairs, ObsPair{Goroutines: g, OverheadPercent: overhead})
-		if overhead > report.OverheadPercent {
-			report.OverheadPercent = overhead
+		for i := range modes {
+			modes[i].Points = append(modes[i].Points, best[i])
 		}
+		pct := (1 - best[1].Values["throughput_qps"]/best[0].Values["throughput_qps"]) * 100
+		overhead.Points = append(overhead.Points, Point{X: g, Values: map[string]float64{"overhead_percent": pct}})
+		worst = max(worst, pct)
 	}
-	return report, nil
-}
-
-// FormatObs renders an observability-overhead report as an aligned text
-// table.
-func FormatObs(r *ObsReport) string {
-	out := fmt.Sprintf("Observability — instrumented vs disabled submit cost (%d-user graph, %d queries per cell)\n",
-		r.Config.Users, r.Config.Queries)
-	out += fmt.Sprintf("%-14s %11s %12s %10s %10s\n",
-		"mode", "goroutines", "qps", "p50 µs", "p95 µs")
-	for _, p := range r.Points {
-		out += fmt.Sprintf("%-14s %11d %12.0f %10.2f %10.2f\n",
-			p.Mode, p.Goroutines, p.ThroughputQPS, p.LatencyP50Us, p.LatencyP95Us)
-	}
-	for _, pr := range r.Pairs {
-		out += fmt.Sprintf("\noverhead at %d goroutines: %.2f%%", pr.Goroutines, pr.OverheadPercent)
-	}
-	out += fmt.Sprintf("\nworst-case overhead: %.2f%%\n", r.OverheadPercent)
-	return out
+	r.Series = append(modes, overhead)
+	r.Summary["overhead_percent"] = worst
+	return r, nil
 }
 
 // runObsCell measures one (mode, goroutines) cell on a fresh System.
-func runObsCell(cfg ObsConfig, g int, mode string) (*ObsPoint, error) {
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
+func runObsCell(cfg ObsConfig, g int, mode string) (Point, error) {
+	f, err := newFixture(nil, cfg.Users, cfg.Seed, 1)
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	sys, err := disclosure.NewSystem(s, views...)
-	if err != nil {
-		return nil, err
-	}
+	defer f.close()
+	sys := f.sys
 	if mode == "disabled" {
 		sys.SetMetricsRegistry(obs.Disabled)
 	} else {
@@ -177,56 +122,36 @@ func runObsCell(cfg ObsConfig, g int, mode string) (*ObsPoint, error) {
 		// update cost without sharing series with the rest of the process.
 		sys.SetMetricsRegistry(obs.NewRegistry())
 	}
-	err = sys.LoadBatch(func(ld *disclosure.Loader) error {
-		return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-	})
+	pool, err := queryPool(workloadOptions(cfg.Seed, cfg.MaxAtoms), cfg.Pool)
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
-	if err := sys.SetPolicy("app", map[string][]string{"all": allViews}); err != nil {
-		return nil, err
-	}
-	w, err := workload.New(s, workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := w.Batch(cfg.Pool)
 
 	// Warm both canonical-form caches over the whole pool so the timed
 	// loop measures the steady state, where instrumentation is the
 	// largest relative cost.
+	app := principal(0)
 	for _, q := range pool {
-		if _, _, err := sys.Submit("app", q); err != nil {
-			return nil, err
+		if _, _, err := sys.Submit(app, q); err != nil {
+			return Point{}, err
 		}
 	}
 
 	lat := make([]time.Duration, cfg.Queries)
 	elapsed, err := timeConcurrent(cfg.Queries, g, func(i int) error {
 		t0 := time.Now()
-		_, _, err := sys.Submit("app", pool[i%len(pool)])
+		_, _, err := sys.Submit(app, pool[i%len(pool)])
 		lat[i] = time.Since(t0)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return &ObsPoint{
-		Mode:           mode,
-		Goroutines:     g,
-		Queries:        cfg.Queries,
-		ElapsedSeconds: elapsed,
-		ThroughputQPS:  float64(cfg.Queries) / elapsed,
-		LatencyP50Us:   percentileUs(lat, 0.50),
-		LatencyP95Us:   percentileUs(lat, 0.95),
-	}, nil
+	v := map[string]float64{
+		"queries":         float64(cfg.Queries),
+		"elapsed_seconds": elapsed,
+		"throughput_qps":  float64(cfg.Queries) / elapsed,
+	}
+	addLatencies(v, lat, "us")
+	return Point{X: g, Values: v}, nil
 }

@@ -1,20 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"net/http"
-	"os"
-	"sort"
-	"sync"
 	"time"
 
 	disclosure "repro"
-	"repro/internal/fb"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // ReplConfig configures the replication experiment: one durable primary
@@ -61,49 +54,9 @@ func DefaultReplConfig() ReplConfig {
 	}
 }
 
-// ReplPoint is one measured cell of the replication experiment.
-type ReplPoint struct {
-	// Mode names the cell: "read" cells carry a follower count; the two
-	// submit cells are "submit primary" and "submit follower".
-	Mode string `json:"mode"`
-	// Followers is the follower count of a read cell (nodes = 1 +
-	// followers).
-	Followers int `json:"followers"`
-	// Requests is the total requests across all clients.
-	Requests int `json:"requests"`
-	// ElapsedSeconds is the wall time of the cell.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// ThroughputQPS is Requests / ElapsedSeconds.
-	ThroughputQPS float64 `json:"throughput_qps"`
-	// Latency percentiles over per-request round-trip times, in
-	// milliseconds.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	LatencyMaxMs float64 `json:"latency_max_ms"`
-}
-
-// ReplReport is the JSON archive of one replication experiment run
-// (BENCH_repl.json in CI).
-type ReplReport struct {
-	Experiment string      `json:"experiment"`
-	Config     ReplConfig  `json:"config"`
-	Reads      []ReplPoint `json:"reads"`
-	// SubmitPrimary and SubmitFollower are the decision-overhead pair: the
-	// same submission stream against the primary directly and through one
-	// follower (local evaluation + one decision RPC per query).
-	SubmitPrimary  ReplPoint `json:"submit_primary"`
-	SubmitFollower ReplPoint `json:"submit_follower"`
-	// DecisionOverheadP50Ms is SubmitFollower p50 minus SubmitPrimary p50 —
-	// the median per-submission price of primary-consistent decisions.
-	DecisionOverheadP50Ms float64 `json:"decision_overhead_p50_ms"`
-}
-
 // replCluster is the shared fixture of all cells: one durable primary and
 // a set of synced in-process followers.
 type replCluster struct {
-	dur      *disclosure.Durable
-	dir      string
 	primary  string   // primary base URL
 	fols     []string // follower base URLs
 	syncs    []*repl.Follower
@@ -118,138 +71,154 @@ func (c *replCluster) close() {
 }
 
 // RunRepl runs the replication experiment over one shared cluster sized
-// for the largest follower count.
-func RunRepl(cfg ReplConfig) (*ReplReport, error) {
+// for the largest follower count. The report has a "read" series (X =
+// followers serving beside the primary) and the decision-overhead pair:
+// the same submission stream against the primary directly ("submit
+// primary", X = 0) and through one follower ("submit follower", X = 1),
+// whose p50 difference is the summary's decision_overhead_p50_ms.
+func RunRepl(cfg ReplConfig) (*Report, error) {
 	if cfg.Requests <= 0 || cfg.SubmitRequests <= 0 || cfg.Pool <= 0 || cfg.Clients <= 0 {
 		return nil, fmt.Errorf("bench: Requests, SubmitRequests, Clients and Pool must be positive")
 	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("bench: Users must be at least 1")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	if len(cfg.Followers) == 0 {
 		return nil, fmt.Errorf("bench: at least one follower count is required")
 	}
-	maxFollowers := 0
+	maxFollowers := 1 // the submit-overhead pair always needs one
 	for _, f := range cfg.Followers {
 		if f < 0 {
 			return nil, fmt.Errorf("bench: negative follower count %d", f)
 		}
-		if f > maxFollowers {
-			maxFollowers = f
-		}
-	}
-	if maxFollowers == 0 {
-		maxFollowers = 1 // the submit-overhead pair always needs one
+		maxFollowers = max(maxFollowers, f)
 	}
 
-	cluster, pools, err := buildReplCluster(cfg, maxFollowers)
+	cluster, err := buildReplCluster(cfg, maxFollowers)
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.close()
+	pools, err := clientPools(workloadOptions(cfg.Seed, cfg.MaxAtoms), cfg.Clients, cfg.Pool)
+	if err != nil {
+		return nil, err
+	}
+	clients := func(nodes []string) []*server.Client {
+		cs := make([]*server.Client, cfg.Clients)
+		for c := range cs {
+			cs[c] = &server.Client{BaseURL: nodes[c%len(nodes)], Token: fmt.Sprintf("tok-%d", c), HTTP: cluster.httpc}
+		}
+		return cs
+	}
 
-	report := &ReplReport{Experiment: "repl", Config: cfg}
+	r := newReport("repl", cfg)
+	reads := Series{Name: "read", XLabel: "followers"}
 	for _, followers := range cfg.Followers {
-		nodes := append([]string{cluster.primary}, cluster.fols[:followers]...)
-		p, err := replReadCell(cfg, nodes, pools, cluster.httpc)
+		// Explains never leave the node they hit: clients spread
+		// round-robin across the serving nodes.
+		cs := clients(append([]string{cluster.primary}, cluster.fols[:followers]...))
+		p, err := replCell(cfg.Clients, cfg.Requests, followers, func(c, i int) error {
+			_, err := cs[c].Explain(pools[c][i%len(pools[c])])
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: repl read (followers=%d): %w", followers, err)
 		}
-		p.Followers = followers
-		report.Reads = append(report.Reads, *p)
+		reads.Points = append(reads.Points, p)
 	}
+	r.Series = append(r.Series, reads)
 
-	pp, err := replSubmitCell(cfg, cluster.primary, "submit primary", pools, cluster.httpc)
-	if err != nil {
-		return nil, fmt.Errorf("bench: repl submit primary: %w", err)
-	}
-	report.SubmitPrimary = *pp
-	// Re-sync so follower evaluation runs against the post-submit state.
-	for _, f := range cluster.syncs {
-		if err := f.SyncOnce(); err != nil {
-			return nil, fmt.Errorf("bench: repl re-sync: %w", err)
+	var p50 [2]float64
+	for x, cell := range []struct{ name, node string }{
+		{"submit primary", cluster.primary},
+		{"submit follower", cluster.fols[0]},
+	} {
+		if x == 1 {
+			// Re-sync so follower evaluation runs against the post-submit
+			// state.
+			for _, f := range cluster.syncs {
+				if err := f.SyncOnce(); err != nil {
+					return nil, fmt.Errorf("bench: repl re-sync: %w", err)
+				}
+			}
 		}
+		cs := clients([]string{cell.node})
+		p, err := replCell(cfg.Clients, cfg.SubmitRequests, x, func(c, i int) error {
+			res, err := cs[c].Submit(pools[c][i%len(pools[c])])
+			if err == nil && res.Error != "" {
+				err = fmt.Errorf("submission error: %s", res.Error)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: repl %s: %w", cell.name, err)
+		}
+		p50[x] = p.Values["latency_p50_ms"]
+		r.Series = append(r.Series, Series{Name: cell.name, XLabel: "followers", Points: []Point{p}})
 	}
-	fp, err := replSubmitCell(cfg, cluster.fols[0], "submit follower", pools, cluster.httpc)
+	r.Summary["decision_overhead_p50_ms"] = p50[1] - p50[0]
+	return r, nil
+}
+
+// replCell drives one closed-loop cell of requests per client through fn.
+func replCell(clients, requests, x int, fn func(client, r int) error) (Point, error) {
+	elapsed, lat, err := closedLoop(clients, requests, fn)
 	if err != nil {
-		return nil, fmt.Errorf("bench: repl submit follower: %w", err)
+		return Point{}, err
 	}
-	report.SubmitFollower = *fp
-	report.DecisionOverheadP50Ms = fp.LatencyP50Ms - pp.LatencyP50Ms
-	return report, nil
+	total := clients * requests
+	v := map[string]float64{
+		"requests":        float64(total),
+		"elapsed_seconds": elapsed,
+		"throughput_qps":  float64(total) / elapsed,
+	}
+	addLatencies(v, lat, "ms")
+	return Point{X: x, Values: v}, nil
 }
 
 // buildReplCluster opens a durable primary over a populated graph, installs
-// one principal per client, starts the primary server with its replication
-// surface, and brings up maxFollowers synced followers. It also pre-renders
-// the per-client template pools.
-func buildReplCluster(cfg ReplConfig, maxFollowers int) (*replCluster, [][]string, error) {
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
+// one principal per client with its token, starts the primary server with
+// its replication surface, and brings up maxFollowers synced followers.
+func buildReplCluster(cfg ReplConfig, maxFollowers int) (*replCluster, error) {
+	// NoSync: the experiment measures serving and the decision RPC, not
+	// fsync (the wal and shard experiments own that axis).
+	f, err := newFixture(&disclosure.DurabilityOptions{NoSync: true}, cfg.Users, cfg.Seed, cfg.Clients)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "disclosure-repl-bench-")
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster := &replCluster{dir: dir}
-	cluster.shutdown = append(cluster.shutdown, func() { os.RemoveAll(dir) })
+	cluster := &replCluster{shutdown: []func(){f.close}}
 	ok := false
 	defer func() {
 		if !ok {
 			cluster.close()
 		}
 	}()
-
-	// NoSync: the experiment measures serving and the decision RPC, not
-	// fsync (the wal and shard experiments own that axis).
-	dur, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{NoSync: true}, s, views...)
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster.dur = dur
-	cluster.shutdown = append(cluster.shutdown, func() { dur.Close() })
-	sys := dur.System()
-	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
-		return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-	}); err != nil {
-		return nil, nil, err
-	}
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
 	for i := 0; i < cfg.Clients; i++ {
-		name := fmt.Sprintf("app-%d", i)
-		if err := sys.SetPolicy(name, map[string][]string{"all": allViews}); err != nil {
-			return nil, nil, err
-		}
-		if err := dur.LogToken(name, fmt.Sprintf("tok-%d", i)); err != nil {
-			return nil, nil, err
+		if err := f.dur.LogToken(principal(i), fmt.Sprintf("tok-%d", i)); err != nil {
+			return nil, err
 		}
 	}
 
 	const adminToken = "bench-admin"
-	prim, err := repl.NewPrimary(dur, adminToken)
+	prim, err := repl.NewPrimary(f.dur, adminToken)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	srv, err := server.New(sys, server.Options{
+	srv, err := server.New(f.sys, server.Options{
 		AdminToken: adminToken,
-		Journal:    dur,
-		Tokens:     dur.Tokens(),
+		Journal:    f.dur,
+		Tokens:     f.dur.Tokens(),
 		Repl:       prim.Handler(),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cluster.primary, err = serveOn(cluster, srv.Serve, srv.Shutdown)
+	cluster.primary, err = serveOn(&cluster.shutdown, srv.Serve, srv.Shutdown)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	transport := &http.Transport{MaxIdleConns: 4 * cfg.Clients, MaxIdleConnsPerHost: 4 * cfg.Clients}
@@ -264,161 +233,19 @@ func buildReplCluster(cfg ReplConfig, maxFollowers int) (*replCluster, [][]strin
 			Interval: time.Hour, // synced explicitly between phases
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := fol.SyncOnce(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fsrv := server.NewFollower(fol, server.FollowerOptions{})
-		base, err := serveOn(cluster, fsrv.Serve, fsrv.Shutdown)
+		base, err := serveOn(&cluster.shutdown, fsrv.Serve, fsrv.Shutdown)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cluster.fols = append(cluster.fols, base)
 		cluster.syncs = append(cluster.syncs, fol)
 	}
-
-	baseOpts := workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	}
-	pools := make([][]string, cfg.Clients)
-	for i := range pools {
-		g, err := workload.New(s, baseOpts.ForClient(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		pool := make([]string, cfg.Pool)
-		for j, q := range g.Batch(cfg.Pool) {
-			pool[j] = q.String()
-		}
-		pools[i] = pool
-	}
 	ok = true
-	return cluster, pools, nil
-}
-
-// serveOn starts one server on an ephemeral loopback port and registers
-// its graceful shutdown with the cluster, returning the base URL.
-func serveOn(cluster *replCluster, serve func(net.Listener) error, shutdown func(context.Context) error) (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	done := make(chan error, 1)
-	go func() { done <- serve(l) }()
-	cluster.shutdown = append(cluster.shutdown, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = shutdown(ctx)
-		<-done
-	})
-	return "http://" + l.Addr().String(), nil
-}
-
-// replRun drives one closed-loop cell: each client issues requests through
-// fn and the per-request latencies are aggregated into a point.
-func replRun(cfg ReplConfig, mode string, requests int, fn func(client, r int) error) (*ReplPoint, error) {
-	latencies := make([][]time.Duration, cfg.Clients)
-	errs := make([]error, cfg.Clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, requests)
-			for r := 0; r < requests; r++ {
-				t0 := time.Now()
-				if err := fn(c, r); err != nil {
-					errs[c] = err
-					return
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			latencies[c] = lat
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var all []time.Duration
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	total := cfg.Clients * requests
-	return &ReplPoint{
-		Mode:           mode,
-		Requests:       total,
-		ElapsedSeconds: elapsed,
-		ThroughputQPS:  float64(total) / elapsed,
-		LatencyP50Ms:   percentileMs(all, 0.50),
-		LatencyP95Ms:   percentileMs(all, 0.95),
-		LatencyP99Ms:   percentileMs(all, 0.99),
-		LatencyMaxMs:   percentileMs(all, 1.00),
-	}, nil
-}
-
-// replReadCell measures explain throughput with clients spread round-robin
-// across the given serving nodes.
-func replReadCell(cfg ReplConfig, nodes []string, pools [][]string, httpc *http.Client) (*ReplPoint, error) {
-	clients := make([]*server.Client, cfg.Clients)
-	for c := range clients {
-		clients[c] = &server.Client{
-			BaseURL: nodes[c%len(nodes)],
-			Token:   fmt.Sprintf("tok-%d", c),
-			HTTP:    httpc,
-		}
-	}
-	return replRun(cfg, "read", cfg.Requests, func(c, r int) error {
-		pool := pools[c]
-		_, err := clients[c].Explain(pool[r%len(pool)])
-		return err
-	})
-}
-
-// replSubmitCell measures submission throughput and latency against one
-// node — the primary directly, or one follower whose every decision is an
-// RPC back to the primary.
-func replSubmitCell(cfg ReplConfig, base, mode string, pools [][]string, httpc *http.Client) (*ReplPoint, error) {
-	clients := make([]*server.Client, cfg.Clients)
-	for c := range clients {
-		clients[c] = &server.Client{BaseURL: base, Token: fmt.Sprintf("tok-%d", c), HTTP: httpc}
-	}
-	return replRun(cfg, mode, cfg.SubmitRequests, func(c, r int) error {
-		pool := pools[c]
-		res, err := clients[c].Submit(pool[r%len(pool)])
-		if err != nil {
-			return err
-		}
-		if res.Error != "" {
-			return fmt.Errorf("submission error: %s", res.Error)
-		}
-		return nil
-	})
-}
-
-// FormatRepl renders a replication report as an aligned text table.
-func FormatRepl(r *ReplReport) string {
-	out := fmt.Sprintf("Replication — read scaling and decision-RPC overhead (%d-user graph, %d clients)\n",
-		r.Config.Users, r.Config.Clients)
-	out += fmt.Sprintf("%-16s %6s %10s %12s %10s %10s %10s\n",
-		"cell", "nodes", "requests", "qps", "p50 ms", "p95 ms", "p99 ms")
-	row := func(name string, nodes int, p ReplPoint) string {
-		return fmt.Sprintf("%-16s %6d %10d %12.0f %10.3f %10.3f %10.3f\n",
-			name, nodes, p.Requests, p.ThroughputQPS, p.LatencyP50Ms, p.LatencyP95Ms, p.LatencyP99Ms)
-	}
-	for _, p := range r.Reads {
-		out += row(fmt.Sprintf("read f=%d", p.Followers), 1+p.Followers, p)
-	}
-	out += row("submit primary", 1, r.SubmitPrimary)
-	out += row("submit follower", 2, r.SubmitFollower)
-	out += fmt.Sprintf("\ndecision-RPC overhead at p50: %.3f ms/submission\n", r.DecisionOverheadP50Ms)
-	return out
+	return cluster, nil
 }

@@ -20,22 +20,27 @@ func TestRunReplSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Reads) != 2 {
-		t.Fatalf("%d read points, want 2", len(report.Reads))
+	reads := report.series("read")
+	if reads == nil || len(reads.Points) != 2 {
+		t.Fatalf("read series %+v, want 2 points", reads)
 	}
-	for _, p := range report.Reads {
-		if p.Requests != cfg.Clients*cfg.Requests {
-			t.Errorf("read f=%d: requests %d, want %d", p.Followers, p.Requests, cfg.Clients*cfg.Requests)
+	for _, p := range reads.Points {
+		if p.Values["requests"] != float64(cfg.Clients*cfg.Requests) {
+			t.Errorf("read f=%d: requests %v, want %d", p.X, p.Values["requests"], cfg.Clients*cfg.Requests)
 		}
-		if p.ThroughputQPS <= 0 || p.LatencyP50Ms <= 0 {
-			t.Errorf("read f=%d: degenerate measurements: %+v", p.Followers, p)
+		if p.Values["throughput_qps"] <= 0 || p.Values["latency_p50_ms"] <= 0 {
+			t.Errorf("read f=%d: degenerate measurements: %v", p.X, p.Values)
 		}
 	}
-	wantSubs := cfg.Clients * cfg.SubmitRequests
-	for _, p := range []ReplPoint{report.SubmitPrimary, report.SubmitFollower} {
-		if p.Requests != wantSubs || p.ThroughputQPS <= 0 {
-			t.Errorf("%s: %+v, want %d requests with positive throughput", p.Mode, p, wantSubs)
+	wantSubs := float64(cfg.Clients * cfg.SubmitRequests)
+	for _, name := range []string{"submit primary", "submit follower"} {
+		s := report.series(name)
+		if s == nil || len(s.Points) != 1 || s.Points[0].Values["requests"] != wantSubs || s.Points[0].Values["throughput_qps"] <= 0 {
+			t.Errorf("%s: %+v, want one point of %v requests with positive throughput", name, s, wantSubs)
 		}
+	}
+	if _, ok := report.Summary["decision_overhead_p50_ms"]; !ok {
+		t.Errorf("summary %v lacks decision_overhead_p50_ms", report.Summary)
 	}
 }
 

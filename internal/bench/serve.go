@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
-	disclosure "repro"
-	"repro/internal/fb"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // ServeConfig configures the service-level experiment: a closed-loop load
@@ -54,55 +49,24 @@ func DefaultServeConfig() ServeConfig {
 	}
 }
 
-// ServePoint is one measured cell of the serve experiment.
-type ServePoint struct {
-	// Clients is the concurrent-client count of this cell.
-	Clients int `json:"clients"`
-	// Requests and Queries are totals across all clients (Queries =
-	// Requests × Batch).
-	Requests int `json:"requests"`
-	Queries  int `json:"queries"`
-	// ElapsedSeconds is the wall time of the whole cell.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// ThroughputQPS is Queries / ElapsedSeconds.
-	ThroughputQPS float64 `json:"throughput_qps"`
-	// Latency percentiles over per-request round-trip times, in
-	// milliseconds.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	LatencyMaxMs float64 `json:"latency_max_ms"`
-	// Admitted, Refused and Errored are the server's outcome counters for
-	// the cell (the workload mixes scopes, so a realistic fraction of
-	// queries is refused).
-	Admitted uint64 `json:"admitted"`
-	Refused  uint64 `json:"refused"`
-	Errored  uint64 `json:"errored"`
-}
-
-// ServeReport is the JSON archive of one serve experiment run
-// (BENCH_serve.json in CI).
-type ServeReport struct {
-	Experiment string       `json:"experiment"`
-	Config     ServeConfig  `json:"config"`
-	Points     []ServePoint `json:"points"`
-}
-
 // RunServe runs the serve experiment: for each client count a fresh system
 // (cold caches), a fresh server on an ephemeral loopback port, and one
 // principal per client installed over the HTTP API, then a closed-loop
-// measured run. The server is shut down gracefully between cells.
-func RunServe(cfg ServeConfig) (*ServeReport, error) {
+// measured run. The server is shut down gracefully between cells. The
+// report has one series, X = concurrent clients, with throughput, latency
+// percentiles in milliseconds and the server's outcome counters per cell.
+func RunServe(cfg ServeConfig) (*Report, error) {
 	if cfg.Requests <= 0 || cfg.Pool <= 0 || cfg.Batch <= 0 {
 		return nil, fmt.Errorf("bench: Requests, Pool and Batch must be positive")
 	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("bench: Users must be at least 1")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
-	report := &ServeReport{Experiment: "serve", Config: cfg}
+	r := newReport("serve", cfg)
+	s := Series{Name: fmt.Sprintf("submit batch=%d", cfg.Batch), XLabel: "clients"}
 	for _, clients := range cfg.Clients {
 		if clients < 1 {
 			return nil, fmt.Errorf("bench: client count %d must be at least 1", clients)
@@ -111,47 +75,34 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: serve (clients=%d): %w", clients, err)
 		}
-		report.Points = append(report.Points, *p)
+		s.Points = append(s.Points, p)
 	}
-	return report, nil
+	r.Series = append(r.Series, s)
+	return r, nil
 }
 
 // runServeCell measures one (clients) cell against a fresh server.
-func runServeCell(cfg ServeConfig, clients int) (*ServePoint, error) {
-	// Server side: Facebook schema + catalog over a populated graph.
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
+func runServeCell(cfg ServeConfig, clients int) (Point, error) {
+	f, err := newFixture(nil, cfg.Users, cfg.Seed, 0)
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	sys, err := disclosure.NewSystem(s, views...)
-	if err != nil {
-		return nil, err
-	}
-	err = sys.LoadBatch(func(ld *disclosure.Loader) error {
-		return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-	})
-	if err != nil {
-		return nil, err
-	}
+	defer f.close()
 	const adminToken = "bench-admin"
-	srv, err := server.New(sys, server.Options{AdminToken: adminToken})
+	srv, err := server.New(f.sys, server.Options{AdminToken: adminToken})
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
+	var shutdown []func()
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-serveDone
+		for _, stop := range shutdown {
+			stop()
+		}
 	}()
-	base := "http://" + l.Addr().String()
+	base, err := serveOn(&shutdown, srv.Serve, srv.Shutdown)
+	if err != nil {
+		return Point{}, err
+	}
 
 	// One shared transport sized for the client count, so the measurement
 	// reflects request handling rather than connection churn.
@@ -159,137 +110,68 @@ func runServeCell(cfg ServeConfig, clients int) (*ServePoint, error) {
 	defer transport.CloseIdleConnections()
 	httpClient := &http.Client{Transport: transport, Timeout: 60 * time.Second}
 
-	// Every principal may learn every security view: refusals in the run
-	// are then exactly the queries whose labels exceed the whole catalog
-	// (⊤-labeled subqueries, e.g. non-friend scopes) — the paper's
-	// "as little more as possible" boundary, exercised at service level.
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
 	admin := &server.Client{BaseURL: base, Token: adminToken, HTTP: httpClient}
 	principals := make([]*server.Client, clients)
 	for i := range principals {
-		name := fmt.Sprintf("app-%d", i)
 		token := fmt.Sprintf("tok-%d", i)
-		if err := admin.SetPolicy(name, token, map[string][]string{"all": allViews}); err != nil {
-			return nil, err
+		if err := admin.SetPolicy(principal(i), token, f.policy); err != nil {
+			return Point{}, err
 		}
 		principals[i] = &server.Client{BaseURL: base, Token: token, HTTP: httpClient}
 	}
-
-	// Client side: each client pre-renders its own deterministic template
-	// pool (workload generation and datalog rendering stay outside the
-	// measured loop).
-	baseOpts := workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	}
-	pools := make([][]string, clients)
-	for i := range pools {
-		g, err := workload.New(s, baseOpts.ForClient(i))
-		if err != nil {
-			return nil, err
-		}
-		pool := make([]string, cfg.Pool)
-		for j, q := range g.Batch(cfg.Pool) {
-			pool[j] = q.String()
-		}
-		pools[i] = pool
+	pools, err := clientPools(workloadOptions(cfg.Seed, cfg.MaxAtoms), clients, cfg.Pool)
+	if err != nil {
+		return Point{}, err
 	}
 
-	before := sys.Stats()
-	latencies := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, cfg.Requests)
-			pool := pools[c]
-			for r := 0; r < cfg.Requests; r++ {
-				t0 := time.Now()
-				var rerr error
-				if cfg.Batch == 1 {
-					_, rerr = principals[c].Submit(pool[r%len(pool)])
-				} else {
-					batch := make([]string, cfg.Batch)
-					for b := range batch {
-						batch[b] = pool[(r*cfg.Batch+b)%len(pool)]
-					}
-					_, rerr = principals[c].SubmitBatch(batch)
-				}
-				if rerr != nil {
-					errs[c] = rerr
-					return
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			latencies[c] = lat
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	before := f.sys.Stats()
+	elapsed, lat, err := closedLoop(clients, cfg.Requests, func(c, r int) error {
+		pool := pools[c]
+		if cfg.Batch == 1 {
+			_, err := principals[c].Submit(pool[r%len(pool)])
+			return err
 		}
+		batch := make([]string, cfg.Batch)
+		for b := range batch {
+			batch[b] = pool[(r*cfg.Batch+b)%len(pool)]
+		}
+		_, err := principals[c].SubmitBatch(batch)
+		return err
+	})
+	if err != nil {
+		return Point{}, err
 	}
-	after := sys.Stats()
+	after := f.sys.Stats()
 
-	var all []time.Duration
-	for _, lat := range latencies {
-		all = append(all, lat...)
+	requests := clients * cfg.Requests
+	queries := requests * cfg.Batch
+	v := map[string]float64{
+		"requests":        float64(requests),
+		"queries":         float64(queries),
+		"elapsed_seconds": elapsed,
+		"throughput_qps":  float64(queries) / elapsed,
+		"admitted":        float64(after.Admitted - before.Admitted),
+		"refused":         float64(after.Refused - before.Refused),
+		"errored":         float64(after.Errored - before.Errored),
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	totalRequests := clients * cfg.Requests
-	totalQueries := totalRequests * cfg.Batch
-	return &ServePoint{
-		Clients:        clients,
-		Requests:       totalRequests,
-		Queries:        totalQueries,
-		ElapsedSeconds: elapsed,
-		ThroughputQPS:  float64(totalQueries) / elapsed,
-		LatencyP50Ms:   percentileMs(all, 0.50),
-		LatencyP95Ms:   percentileMs(all, 0.95),
-		LatencyP99Ms:   percentileMs(all, 0.99),
-		LatencyMaxMs:   percentileMs(all, 1.00),
-		Admitted:       after.Admitted - before.Admitted,
-		Refused:        after.Refused - before.Refused,
-		Errored:        after.Errored - before.Errored,
-	}, nil
+	addLatencies(v, lat, "ms")
+	return Point{X: clients, Values: v}, nil
 }
 
-// percentileMs returns the q-quantile of a sorted latency slice in
-// milliseconds (nearest-rank).
-func percentileMs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// serveOn starts one server on an ephemeral loopback port, appends its
+// graceful shutdown to shutdown, and returns the base URL.
+func serveOn(shutdown *[]func(), serve func(net.Listener) error, stop func(context.Context) error) (string, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
 	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return float64(sorted[rank]) / float64(time.Millisecond)
-}
-
-// FormatServe renders a serve report as an aligned text table.
-func FormatServe(r *ServeReport) string {
-	out := fmt.Sprintf("Serve — closed-loop HTTP load over disclosured (%d-user graph, %d requests/client, batch %d)\n",
-		r.Config.Users, r.Config.Requests, r.Config.Batch)
-	out += fmt.Sprintf("%8s %10s %12s %10s %10s %10s %10s %10s %9s\n",
-		"clients", "queries", "qps", "p50 ms", "p95 ms", "p99 ms", "max ms", "admitted", "refused")
-	for _, p := range r.Points {
-		out += fmt.Sprintf("%8d %10d %12.0f %10.3f %10.3f %10.3f %10.3f %10d %9d\n",
-			p.Clients, p.Queries, p.ThroughputQPS,
-			p.LatencyP50Ms, p.LatencyP95Ms, p.LatencyP99Ms, p.LatencyMaxMs,
-			p.Admitted, p.Refused)
-	}
-	return out
+	done := make(chan error, 1)
+	go func() { done <- serve(l) }()
+	*shutdown = append(*shutdown, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = stop(ctx)
+		<-done
+	})
+	return "http://" + l.Addr().String(), nil
 }

@@ -20,19 +20,20 @@ func TestRunServeSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
-		if len(report.Points) != 2 {
-			t.Fatalf("batch=%d: %d points, want 2", batch, len(report.Points))
+		if len(report.Series) != 1 || len(report.Series[0].Points) != 2 {
+			t.Fatalf("batch=%d: %+v, want one series of 2 points", batch, report.Series)
 		}
-		for _, p := range report.Points {
-			wantQueries := p.Clients * cfg.Requests * batch
-			if p.Queries != wantQueries {
-				t.Errorf("batch=%d clients=%d: queries %d, want %d", batch, p.Clients, p.Queries, wantQueries)
+		for _, p := range report.Series[0].Points {
+			v := p.Values
+			wantQueries := float64(p.X * cfg.Requests * batch)
+			if v["queries"] != wantQueries {
+				t.Errorf("batch=%d clients=%d: queries %v, want %v", batch, p.X, v["queries"], wantQueries)
 			}
-			if got := p.Admitted + p.Refused + p.Errored; got != uint64(wantQueries) {
-				t.Errorf("batch=%d clients=%d: outcomes %d, want %d", batch, p.Clients, got, wantQueries)
+			if got := v["admitted"] + v["refused"] + v["errored"]; got != wantQueries {
+				t.Errorf("batch=%d clients=%d: outcomes %v, want %v", batch, p.X, got, wantQueries)
 			}
-			if p.ThroughputQPS <= 0 || p.LatencyP50Ms <= 0 || p.LatencyP99Ms < p.LatencyP50Ms {
-				t.Errorf("batch=%d clients=%d: degenerate measurements: %+v", batch, p.Clients, p)
+			if v["throughput_qps"] <= 0 || v["latency_p50_ms"] <= 0 || v["latency_p99_ms"] < v["latency_p50_ms"] {
+				t.Errorf("batch=%d clients=%d: degenerate measurements: %v", batch, p.X, v)
 			}
 		}
 	}

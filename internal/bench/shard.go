@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"os"
 
 	disclosure "repro"
-	"repro/internal/fb"
-	"repro/internal/workload"
 )
 
 // ShardConfig configures the sharded-durability experiment: submit
@@ -56,12 +53,14 @@ func DefaultShardConfig() ShardConfig {
 // RunShard runs the sharded-durability experiment and returns one
 // "submit s=<shards> gc=<on|off>" series per (shard count, group-commit
 // mode) pair, X = concurrent submitters, normalized per million queries.
-func RunShard(cfg ShardConfig) ([]Series, error) {
+// The summary holds each group-commit series' speedup over the 1-shard
+// per-operation-fsync baseline per point.
+func RunShard(cfg ShardConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("bench: Users must be at least 1")
@@ -69,26 +68,12 @@ func RunShard(cfg ShardConfig) ([]Series, error) {
 	if len(cfg.Shards) == 0 || len(cfg.Goroutines) == 0 {
 		return nil, fmt.Errorf("bench: Shards and Goroutines must be non-empty")
 	}
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
+	pool, err := queryPool(workloadOptions(cfg.Seed, cfg.MaxAtoms), cfg.Pool)
 	if err != nil {
 		return nil, err
 	}
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
-	gen, err := workload.New(s, workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gen.Batch(cfg.Pool)
 
-	var out []Series
+	r := newReport("shard", cfg)
 	for _, shards := range cfg.Shards {
 		if shards < 1 {
 			return nil, fmt.Errorf("bench: shard count must be positive, got %d", shards)
@@ -98,60 +83,41 @@ func RunShard(cfg ShardConfig) ([]Series, error) {
 			if groupCommit {
 				mode = "on"
 			}
-			series := Series{Name: fmt.Sprintf("submit s=%d gc=%s", shards, mode)}
+			series := Series{Name: fmt.Sprintf("submit s=%d gc=%s", shards, mode), XLabel: "goroutines"}
 			for _, g := range cfg.Goroutines {
 				if g <= 0 {
 					return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
 				}
-				elapsed, err := runShardPoint(cfg, s, views, allViews, pool, shards, groupCommit, g)
+				elapsed, err := runShardPoint(cfg, pool, shards, groupCommit, g)
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s g=%d: %w", series.Name, g, err)
 				}
-				series.Points = append(series.Points, Point{
-					X:             g,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-					QueriesTimed:  cfg.Queries,
-					ElapsedSecond: elapsed,
-				})
+				series.Points = append(series.Points, timedPoint(g, cfg.Queries, elapsed))
 			}
-			out = append(out, series)
+			r.Series = append(r.Series, series)
 		}
 	}
-	return out, nil
+	for _, s := range cfg.Shards {
+		r.speedup(fmt.Sprintf("speedup_s%d_gc_on_vs_s1_gc_off", s), "submit s=1 gc=off", fmt.Sprintf("submit s=%d gc=on", s))
+	}
+	return r, nil
 }
 
 // runShardPoint measures one (shards, group commit, concurrency) point on
 // a freshly initialized durable deployment with one principal per
 // submitter.
-func runShardPoint(cfg ShardConfig, s *disclosure.Schema, views []*disclosure.Query, allViews []string, pool []*disclosure.Query, shards int, groupCommit bool, g int) (float64, error) {
-	dir, err := os.MkdirTemp("", "disclosure-shard-bench-")
+func runShardPoint(cfg ShardConfig, pool []*disclosure.Query, shards int, groupCommit bool, g int) (float64, error) {
+	f, err := newFixture(&disclosure.DurabilityOptions{Shards: shards, NoGroupCommit: !groupCommit}, cfg.Users, cfg.Seed, g)
 	if err != nil {
 		return 0, err
 	}
-	defer os.RemoveAll(dir)
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{
-		Shards:        shards,
-		NoGroupCommit: !groupCommit,
-	}, s, views...)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	sys := d.System()
-	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
-		return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-	}); err != nil {
-		return 0, err
-	}
+	defer f.close()
 	principals := make([]string, g)
 	for i := range principals {
-		principals[i] = fmt.Sprintf("app-%d", i)
-		if err := sys.SetPolicy(principals[i], map[string][]string{"all": allViews}); err != nil {
-			return 0, err
-		}
+		principals[i] = principal(i)
 	}
 	return timeConcurrent(cfg.Queries, g, func(i int) error {
-		_, _, err := sys.Submit(principals[i%g], pool[i%len(pool)])
+		_, _, err := f.sys.Submit(principals[i%g], pool[i%len(pool)])
 		return err
 	})
 }

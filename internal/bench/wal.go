@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	disclosure "repro"
 	"repro/internal/fb"
-	"repro/internal/workload"
 )
 
 // WALConfig configures the durability experiment: the cost of write-ahead
@@ -51,158 +49,91 @@ func DefaultWALConfig() WALConfig {
 	}
 }
 
-// walVariant opens a System in one durability mode; cleanup releases the
-// handle and its scratch directory.
-type walVariant struct {
-	name string
-	open func() (*disclosure.System, func(), error)
-}
-
-// walVariants builds the three durability modes over the Facebook schema.
-func walVariants() ([]walVariant, error) {
-	s := fb.Schema()
-	views, err := fb.SecurityViews(s)
-	if err != nil {
-		return nil, err
-	}
-	durable := func(noSync bool) func() (*disclosure.System, func(), error) {
-		return func() (*disclosure.System, func(), error) {
-			dir, err := os.MkdirTemp("", "disclosure-wal-bench-")
-			if err != nil {
-				return nil, nil, err
-			}
-			d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{NoSync: noSync}, s, views...)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, nil, err
-			}
-			cleanup := func() {
-				d.Close()
-				os.RemoveAll(dir)
-			}
-			return d.System(), cleanup, nil
-		}
-	}
-	return []walVariant{
-		{"memory", func() (*disclosure.System, func(), error) {
-			sys, err := disclosure.NewSystem(s, views...)
-			return sys, func() {}, err
-		}},
-		{"wal", durable(false)},
-		{"wal-nosync", durable(true)},
-	}, nil
+// walVariants lists the three durability modes: nil opens in memory.
+var walVariants = []struct {
+	name    string
+	durable *disclosure.DurabilityOptions
+}{
+	{"memory", nil},
+	{"wal", &disclosure.DurabilityOptions{}},
+	{"wal-nosync", &disclosure.DurabilityOptions{NoSync: true}},
 }
 
 // RunWAL runs the durability experiment and returns one "submit <variant>"
 // series (X = goroutines, normalized per million queries) and one
 // "load <variant>" series (X = users in the loaded graph, normalized per
-// million rows) per durability mode.
-func RunWAL(cfg WALConfig) ([]Series, error) {
+// million rows) per durability mode. The summary holds the slowdown of
+// the fsync-per-operation submit path over the in-memory one per point.
+func RunWAL(cfg WALConfig) (*Report, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
 	}
-	if cfg.MaxAtoms < 3 || cfg.MaxAtoms%3 != 0 {
-		return nil, fmt.Errorf("bench: MaxAtoms %d is not a positive multiple of 3", cfg.MaxAtoms)
+	if err := checkMaxAtoms(cfg.MaxAtoms); err != nil {
+		return nil, err
 	}
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("bench: Users must be at least 1")
 	}
-	variants, err := walVariants()
+	pool, err := queryPool(workloadOptions(cfg.Seed, cfg.MaxAtoms), cfg.Pool)
 	if err != nil {
 		return nil, err
 	}
-	views, err := fb.SecurityViews(fb.Schema())
-	if err != nil {
-		return nil, err
-	}
-	allViews := make([]string, len(views))
-	for i, v := range views {
-		allViews[i] = v.Name
-	}
-	gen, err := workload.New(fb.Schema(), workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            cfg.MaxAtoms / 3,
-		FriendScopesMarkIsFriend: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gen.Batch(cfg.Pool)
 
-	var out []Series
-	for _, v := range variants {
+	r := newReport("wal", cfg)
+	for _, v := range walVariants {
 		// Submit path: populated graph, one permissive principal, timed
 		// submissions (decisions logged per query on the durable modes).
-		s := Series{Name: "submit " + v.name}
+		s := Series{Name: "submit " + v.name, XLabel: "goroutines"}
 		for _, g := range cfg.Goroutines {
 			if g <= 0 {
 				return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
 			}
-			sys, cleanup, err := v.open()
+			f, err := newFixture(v.durable, cfg.Users, cfg.Seed, 1)
 			if err != nil {
-				return nil, fmt.Errorf("bench: wal %s: %w", v.name, err)
-			}
-			err = sys.LoadBatch(func(ld *disclosure.Loader) error {
-				return fb.GenerateGraph(ld, cfg.Users, cfg.Seed)
-			})
-			if err == nil {
-				err = sys.SetPolicy("app", map[string][]string{"all": allViews})
-			}
-			if err != nil {
-				cleanup()
 				return nil, fmt.Errorf("bench: wal %s: %w", v.name, err)
 			}
 			elapsed, err := timeConcurrent(cfg.Queries, g, func(i int) error {
-				_, _, err := sys.Submit("app", pool[i%len(pool)])
+				_, _, err := f.sys.Submit(principal(0), pool[i%len(pool)])
 				return err
 			})
-			cleanup()
+			f.close()
 			if err != nil {
 				return nil, fmt.Errorf("bench: wal %s submit: %w", v.name, err)
 			}
-			s.Points = append(s.Points, Point{
-				X:             g,
-				SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-				QueriesTimed:  cfg.Queries,
-				ElapsedSecond: elapsed,
-			})
+			s.Points = append(s.Points, timedPoint(g, cfg.Queries, elapsed))
 		}
-		out = append(out, s)
+		r.Series = append(r.Series, s)
 	}
-	for _, v := range variants {
+	for _, v := range walVariants {
 		// Load path: one bulk LoadBatch of a synthetic graph, timed per
 		// inserted row (one logged record per batch on the durable modes).
-		s := Series{Name: "load " + v.name}
+		s := Series{Name: "load " + v.name, XLabel: "users"}
 		for _, users := range cfg.LoadUsers {
 			if users < 1 {
 				return nil, fmt.Errorf("bench: LoadUsers value %d must be at least 1", users)
 			}
-			sys, cleanup, err := v.open()
+			f, err := openFixture(v.durable)
 			if err != nil {
 				return nil, fmt.Errorf("bench: wal %s: %w", v.name, err)
 			}
 			start := time.Now()
-			err = sys.LoadBatch(func(ld *disclosure.Loader) error {
+			err = f.sys.LoadBatch(func(ld *disclosure.Loader) error {
 				return fb.GenerateGraph(ld, users, cfg.Seed)
 			})
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
-				cleanup()
+				f.close()
 				return nil, fmt.Errorf("bench: wal %s load: %w", v.name, err)
 			}
 			rows := 0
 			for _, rel := range fb.Schema().Relations() {
-				rows += sys.Table(rel.Name()).Len()
+				rows += f.sys.Table(rel.Name()).Len()
 			}
-			cleanup()
-			s.Points = append(s.Points, Point{
-				X:             users,
-				SecondsPer1M:  elapsed * 1e6 / float64(rows),
-				QueriesTimed:  rows,
-				ElapsedSecond: elapsed,
-			})
+			f.close()
+			s.Points = append(s.Points, timedPoint(users, rows, elapsed))
 		}
-		out = append(out, s)
+		r.Series = append(r.Series, s)
 	}
-	return out, nil
+	r.speedup("slowdown_wal_vs_memory", "submit wal", "submit memory")
+	return r, nil
 }

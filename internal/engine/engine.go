@@ -293,7 +293,9 @@ func baseN0(b *baseIndex) int {
 // lexicographically. A boolean query returns a single empty tuple when
 // satisfied and no tuples otherwise. Evaluation is lock-free: it compiles
 // (or recalls from the plan cache) a plan for the query's canonical form
-// and runs it against an immutable snapshot.
+// and runs it against an immutable snapshot. An evaluation whose
+// intermediate bindings would outgrow a fixed bound fails with
+// ErrAnswerTooLarge instead of exhausting memory.
 func (db *Database) Eval(q *cq.Query) ([]Tuple, error) {
 	return db.EvalAt(db.Snapshot(), q)
 }
@@ -316,7 +318,7 @@ func (db *Database) EvalCanonicalAt(snap *Snapshot, key string, q *cq.Query) ([]
 	if err != nil {
 		return nil, err
 	}
-	return db.evalPlan(p, snap), nil
+	return db.evalPlan(p, snap)
 }
 
 // EvalEach evaluates q against the current snapshot and yields each answer
@@ -340,8 +342,7 @@ func (db *Database) EvalEachCanonicalAt(snap *Snapshot, key string, q *cq.Query,
 	if err != nil {
 		return err
 	}
-	db.evalPlanEach(p, snap, yield)
-	return nil
+	return db.evalPlanEach(p, snap, yield)
 }
 
 // sortTuples orders answers lexicographically element-wise (all tuples in

@@ -205,28 +205,37 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 // evalPlan runs a compiled plan against a snapshot with pooled scratch and
 // returns materialized answers. It never blocks: the snapshot is immutable
 // and constant resolution is memoized after the first lookup.
-func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) []Tuple {
+func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) ([]Tuple, error) {
 	a := db.getArena()
 	defer db.putArena(a)
 	if !p.resolveConsts(db, a) {
 		// A constant that has never been inserted anywhere proves no row of
 		// any current snapshot can match.
-		return nil
+		return nil, nil
 	}
-	return p.materializeVec(snap, a, p.runVec(snap, a))
+	n, err := p.runVec(snap, a)
+	if err != nil {
+		return nil, err
+	}
+	return p.materializeVec(snap, a, n), nil
 }
 
 // evalPlanEach is evalPlan with the allocation-free visitor result path:
 // answers are yielded in sorted order through a row buffer owned by the
 // arena, valid only during the yield (callers copy what they retain). A
 // satisfied boolean query yields one empty row.
-func (db *Database) evalPlanEach(p *compiledPlan, snap *Snapshot, yield func(Tuple) bool) {
+func (db *Database) evalPlanEach(p *compiledPlan, snap *Snapshot, yield func(Tuple) bool) error {
 	a := db.getArena()
 	defer db.putArena(a)
 	if !p.resolveConsts(db, a) {
-		return
+		return nil
 	}
-	p.visitVec(snap, a, p.runVec(snap, a), yield)
+	n, err := p.runVec(snap, a)
+	if err != nil {
+		return err
+	}
+	p.visitVec(snap, a, n, yield)
+	return nil
 }
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -29,6 +30,18 @@ import (
 // dedupSet and sorted through a permutation, so the only allocations of an
 // evaluation are the caller-visible result — and EvalEach avoids even
 // those by yielding rows out of the arena.
+
+// maxBlockRows bounds the bindings one evaluation may hold in a block. A
+// head that keeps a variable from each of several disconnected atoms makes
+// the answer set their cross product (three atoms over a 100-row table are
+// a million rows), so without a bound one admitted query could exhaust the
+// process's memory. The bound sits far above the blocks of realistic
+// traffic and fails such an evaluation before its block grows past it.
+const maxBlockRows = 1 << 18
+
+// ErrAnswerTooLarge reports an evaluation stopped because an intermediate
+// block or the answer set would exceed maxBlockRows bindings.
+var ErrAnswerTooLarge = fmt.Errorf("engine: answer too large: more than %d intermediate bindings", maxBlockRows)
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -168,31 +181,35 @@ func (p *compiledPlan) resolveConsts(db *Database, a *execArena) bool {
 
 // runVec executes the block program against a snapshot, leaving the
 // deduplicated answers in the arena (headIDs + perm, sorted) and returning
-// their count.
-func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
+// their count, or ErrAnswerTooLarge once a block would pass maxBlockRows.
+func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) (int, error) {
 	a.cur.reset(p.nSlots)
 	a.cur.n = 1 // one empty binding
 	for si := range p.vec {
 		st := &p.vec[si]
 		t := snap.tables[st.relID]
 		if t.n == 0 {
-			return 0
+			return 0, nil
 		}
 		a.next.reset(p.nSlots)
+		var ok bool
 		if st.probeCol < 0 {
-			stepIndependent(st, t, a)
+			ok = stepIndependent(st, t, a)
 		} else {
-			stepProbe(st, t, a)
+			ok = stepProbe(st, t, a)
+		}
+		if !ok {
+			return 0, ErrAnswerTooLarge
 		}
 		if a.next.n == 0 {
-			return 0
+			return 0, nil
 		}
 		if len(st.carry) == 0 && len(st.binds) == 0 {
 			a.next.n = 1 // no live columns: the one empty binding
 		}
 		a.cur, a.next = a.next, a.cur
 	}
-	return p.collectAnswers(snap, a)
+	return p.collectAnswers(snap, a), nil
 }
 
 // stepIndependent handles a step with no dependency on earlier bindings:
@@ -200,8 +217,9 @@ func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
 // sorted u32 lists over the indexed base region, then the unindexed tail —
 // and crossed with the incoming block column-at-a-time. A semijoin step
 // keeps only the first matching row, so the cross product copies each
-// incoming binding once instead of multiplying it.
-func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
+// incoming binding once instead of multiplying it. It reports false,
+// leaving the output block empty, when the product would pass maxBlockRows.
+func stepIndependent(st *vecStep, t *tableSnap, a *execArena) bool {
 	limit := math.MaxInt
 	if len(st.binds) == 0 {
 		limit = 1
@@ -235,11 +253,15 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 		}
 	}
 	if len(a.rows) == 0 {
-		return
+		return true
 	}
 	// Cross product, column-at-a-time: every incoming binding pairs with
-	// every matched row.
+	// every matched row. The bound is checked by division, so the product
+	// itself can never overflow.
 	m := len(a.rows)
+	if a.cur.n > maxBlockRows/m {
+		return false
+	}
 	for _, s := range st.carry {
 		col := a.cur.cols[s]
 		out := a.next.cols[s]
@@ -262,6 +284,7 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 		a.next.cols[b.slot] = out
 	}
 	a.next.n = a.cur.n * m
+	return true
 }
 
 // stepProbe handles a step joined to earlier bindings: each incoming
@@ -269,8 +292,9 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 // filtered through the step's constant bitset and column compares, and the
 // short unindexed tail is scanned per binding. A semijoin step emits each
 // binding at its first match, and one that leaves no live columns stops
-// at the first match outright.
-func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
+// at the first match outright. It reports false when the output block
+// would pass maxBlockRows.
+func stepProbe(st *vecStep, t *tableSnap, a *execArena) bool {
 	var bucket map[uint32][]int32
 	n0 := 0
 	if b := t.base; b != nil && b.n0 > 0 {
@@ -308,7 +332,9 @@ bindings:
 					continue
 				}
 				if rowCrossMatch(st, t, id, &a.cur, r) {
-					emitRow(st, t, a, r, id)
+					if !emitRow(st, t, a, r, id) {
+						return false
+					}
 					if semi {
 						continue bindings
 					}
@@ -319,17 +345,24 @@ bindings:
 			if probeSrc[id] == val &&
 				rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) &&
 				rowCrossMatch(st, t, id, &a.cur, r) {
-				emitRow(st, t, a, r, id)
+				if !emitRow(st, t, a, r, id) {
+					return false
+				}
 				if semi {
 					continue bindings
 				}
 			}
 		}
 	}
+	return true
 }
 
-// emitRow appends one (binding, row) join result to the output block.
-func emitRow(st *vecStep, t *tableSnap, a *execArena, r int, id int32) {
+// emitRow appends one (binding, row) join result to the output block, or
+// reports false when the block already holds maxBlockRows bindings.
+func emitRow(st *vecStep, t *tableSnap, a *execArena, r int, id int32) bool {
+	if a.next.n == maxBlockRows {
+		return false
+	}
 	for _, s := range st.carry {
 		a.next.cols[s] = append(a.next.cols[s], a.cur.cols[s][r])
 	}
@@ -337,6 +370,7 @@ func emitRow(st *vecStep, t *tableSnap, a *execArena, r int, id int32) {
 		a.next.cols[b.slot] = append(a.next.cols[b.slot], t.cols[b.col][id])
 	}
 	a.next.n++
+	return true
 }
 
 func rowConstMatch(st *vecStep, t *tableSnap, id int32, cids []uint32) bool {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -170,7 +172,9 @@ func TestVexecNoLiveColumns(t *testing.T) {
 		if !p.resolveConsts(db, a) {
 			t.Fatalf("%s: constants did not resolve", q)
 		}
-		p.runVec(db.Snapshot(), a)
+		if _, err := p.runVec(db.Snapshot(), a); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 		return a.cur.n
 	}
 	body := func(k int) string {
@@ -212,6 +216,53 @@ func TestVexecNoLiveColumns(t *testing.T) {
 	}
 	if len(rows) != 300 {
 		t.Fatalf("live head over dead atoms: Eval returned %d rows, want 300", len(rows))
+	}
+}
+
+// TestEvalAnswerTooLarge: an evaluation whose block would pass
+// maxBlockRows fails with ErrAnswerTooLarge before the block grows — on
+// the cross product of disconnected atoms whose variables the head keeps
+// (a million answers over a 100-row table) and on a many-to-many probe
+// join — while a product under the bound still evaluates.
+func TestEvalAnswerTooLarge(t *testing.T) {
+	db := NewDatabase(schema.MustNew(
+		schema.MustRelation("R", "a", "b"),
+		schema.MustRelation("S", "a", "b"),
+	))
+	err := db.Load(func(ld *Loader) error {
+		for i := 0; i < 600; i++ {
+			if i < 100 {
+				ld.MustInsert("R", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+			}
+			ld.MustInsert("S", fmt.Sprintf("s%d", i), "k")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"Q(a, c, e) :- R(a, b), R(c, d), R(e, f)",
+		"Q(x, y) :- S(x, k), S(y, k)",
+	} {
+		q := cq.MustParse(text)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := db.Eval(q)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrAnswerTooLarge) {
+			t.Fatalf("%s: Eval err = %v, want ErrAnswerTooLarge", text, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 32<<20 {
+			t.Errorf("%s: Eval allocated %d MB before failing, want < 32", text, d>>20)
+		}
+		if err := db.EvalEach(q, func(Tuple) bool { return true }); !errors.Is(err, ErrAnswerTooLarge) {
+			t.Fatalf("%s: EvalEach err = %v, want ErrAnswerTooLarge", text, err)
+		}
+	}
+	rows, err := db.Eval(cq.MustParse("Q(a, c) :- R(a, b), R(c, d)"))
+	if err != nil || len(rows) != 100*100 {
+		t.Fatalf("10,000-row product: %d rows, err %v", len(rows), err)
 	}
 }
 

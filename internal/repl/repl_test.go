@@ -18,6 +18,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -571,6 +572,35 @@ func TestFollowerServesReadsAndCounts(t *testing.T) {
 	}
 	if err := cl.Load([]server.LoadRow{{Rel: "M", Values: []string{"11", "Dave"}}}); err == nil {
 		t.Fatal("follower accepted a bulk load")
+	}
+}
+
+// TestFollowerAnswerTooLarge: an admitted query whose local evaluation
+// would be a million-row cross product comes back from the follower as an
+// item error carrying the engine's ErrAnswerTooLarge, and the follower
+// answers the next request.
+func TestFollowerAnswerTooLarge(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	if err := c.dur.System().LoadBatch(func(ld *disclosure.Loader) error {
+		for i := 0; i < 99; i++ {
+			ld.MustInsert("C", fmt.Sprintf("P%d", i), fmt.Sprintf("p%d@example.com", i), "Peer")
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("LoadBatch: %v", err)
+	}
+	c.sync()
+	cl := c.client("tok")
+	res, err := cl.Submit("Q(a, c, e) :- C(a, b, x), C(c, d, y), C(e, f, z)")
+	if err != nil {
+		t.Fatalf("oversized answer via follower: %v, want an item error", err)
+	}
+	if !res.Allowed || res.Rows != nil || !strings.Contains(res.Error, engine.ErrAnswerTooLarge.Error()) {
+		t.Fatalf("oversized answer = (allowed=%v, %d rows, error=%q), want admitted with ErrAnswerTooLarge", res.Allowed, len(res.Rows), res.Error)
+	}
+	res, err = cl.Submit("QC(p, e) :- C(p, e, r)")
+	if err != nil || !res.Allowed || res.Error != "" || len(res.Rows) != 100 {
+		t.Fatalf("next request = (allowed=%v, %d rows, error=%q, err=%v), want 100 rows", res.Allowed, len(res.Rows), res.Error, err)
 	}
 }
 

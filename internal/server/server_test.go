@@ -13,6 +13,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/engine"
 )
 
 // startServer wires a Server over the paper's Figure-1 schema, serves it on
@@ -301,6 +302,37 @@ func TestServerLoad(t *testing.T) {
 	}
 	if len(final.Rows) != len(after.Rows) {
 		t.Fatalf("failed load leaked rows: %d -> %d", len(after.Rows), len(final.Rows))
+	}
+}
+
+// TestServerAnswerTooLarge: an admitted query whose answer set would be a
+// million-row cross product comes back as an item error carrying the
+// engine's ErrAnswerTooLarge, not a 5xx or an exhausted process, and the
+// server answers the next request.
+func TestServerAnswerTooLarge(t *testing.T) {
+	_, base := startServer(t, Options{})
+	admin := &Client{BaseURL: base, Token: "admin-tok"}
+	if err := admin.SetPolicy("app", "app-tok", map[string][]string{"contacts": {"V3"}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]LoadRow, 100)
+	for i := range rows {
+		rows[i] = LoadRow{Rel: "Contacts", Values: []string{fmt.Sprintf("p%d", i), fmt.Sprintf("p%d@e.com", i), "Peer"}}
+	}
+	if err := admin.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	app := &Client{BaseURL: base, Token: "app-tok"}
+	res, err := app.Submit("Q(a, c, e) :- Contacts(a, b, x), Contacts(c, d, y), Contacts(e, f, z)")
+	if err != nil {
+		t.Fatalf("oversized answer: %v, want an item error", err)
+	}
+	if !res.Allowed || res.Rows != nil || !strings.Contains(res.Error, engine.ErrAnswerTooLarge.Error()) {
+		t.Fatalf("oversized answer = (allowed=%v, %d rows, error=%q), want admitted with ErrAnswerTooLarge", res.Allowed, len(res.Rows), res.Error)
+	}
+	res, err = app.Submit("Q(p) :- Contacts(p, e, r)")
+	if err != nil || res.Error != "" || len(res.Rows) != 102 {
+		t.Fatalf("next request = (%d rows, error=%q, err=%v), want 102 rows", len(res.Rows), res.Error, err)
 	}
 }
 
